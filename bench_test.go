@@ -664,22 +664,8 @@ func BenchmarkSweep(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// M10 — incremental analysis: memoized curve algebra + analysis cache.
+// M11 — whole-grid cost: topology cross-validation and pure analysis.
 // ---------------------------------------------------------------------------
-
-// reportHitRates attaches the warm-path hit rates of both memo layers to
-// a benchmark, measured as deltas against the post-priming counters.
-func reportHitRates(b *testing.B, m0 netcalc.MemoStats, c0 analysis.CacheStats) {
-	m1, c1 := netcalc.Stats(), analysis.DefaultCacheStats()
-	rate := func(hits, misses uint64) float64 {
-		if hits+misses == 0 {
-			return 0
-		}
-		return float64(hits) / float64(hits+misses)
-	}
-	b.ReportMetric(rate(m1.Hits-m0.Hits, m1.Misses-m0.Misses), "memo-hit-rate")
-	b.ReportMetric(rate(c1.Hits-c0.Hits, c1.Misses-c0.Misses), "cache-hit-rate")
-}
 
 // topoGridBenchPoints is the CLI smoke grid (`rtether topo -grid`): every
 // architecture family × {10, 100 Mbps} × {0, 8 extra RTs}.
@@ -690,16 +676,14 @@ func topoGridBenchPoints() []core.TopoPoint {
 }
 
 // BenchmarkTopoGrid measures the full topology × rate × load
-// cross-validation with the memoized layers cold (both caches emptied
-// every iteration) versus warm (primed once) — the before/after pair of
-// EXPERIMENTS.md M10. The cells must be identical either way; the cold
-// case bounds the regression a cache-less run would see.
+// cross-validation (`rtether topo -grid`'s smoke grid), simulation
+// included.
 func BenchmarkTopoGrid(b *testing.B) {
 	points := topoGridBenchPoints()
 	cfg := core.DefaultSimConfig(PriorityHandling)
 	cfg.Horizon = 20 * simtime.Millisecond
 	opts := core.SweepOptions{Workers: 1, Reps: 1, Seed: 1}
-	run := func(b *testing.B) {
+	for i := 0; i < b.N; i++ {
 		cells, err := core.RunTopoGrid(points, cfg, opts)
 		if err != nil {
 			b.Fatal(err)
@@ -708,48 +692,13 @@ func BenchmarkTopoGrid(b *testing.B) {
 			b.Fatalf("got %d cells, want %d", len(cells), len(points))
 		}
 	}
-	b.Run("off", func(b *testing.B) {
-		prevMemo := netcalc.SetMemoEnabled(false)
-		prevCache := analysis.SetCacheEnabled(false)
-		defer func() {
-			netcalc.SetMemoEnabled(prevMemo)
-			analysis.SetCacheEnabled(prevCache)
-		}()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run(b)
-		}
-	})
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			netcalc.ResetMemo()
-			analysis.ResetDefaultCache()
-			run(b)
-		}
-		b.StopTimer()
-		// The per-iteration resets zero both counter sets, so the live
-		// counters are exactly the last pass's single-grid hit rates.
-		reportHitRates(b, netcalc.MemoStats{}, analysis.CacheStats{})
-	})
-	b.Run("warm", func(b *testing.B) {
-		netcalc.ResetMemo()
-		analysis.ResetDefaultCache()
-		run(b) // prime
-		m0, c0 := netcalc.Stats(), analysis.DefaultCacheStats()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run(b)
-		}
-		b.StopTimer()
-		reportHitRates(b, m0, c0)
-	})
 }
 
 // BenchmarkAnalysisGrid measures the pure analysis cost of a 30×30
 // (rate × load) grid over the 4-switch chain architecture — the
-// parameter-space shape ROADMAP item 2 targets, with no simulation time
-// diluting the comparison. Cold empties both memo layers every
-// iteration; warm reuses them across cells and iterations.
+// parameter-space shape of capacity planning, with no simulation time
+// diluting the comparison. Every cell bounds every connection and prices
+// every edge anew, with nothing kept between cells.
 func BenchmarkAnalysisGrid(b *testing.B) {
 	rates := make([]simtime.Rate, 30)
 	for i := range rates {
@@ -771,7 +720,7 @@ func BenchmarkAnalysisGrid(b *testing.B) {
 		}
 		trees[i] = tr
 	}
-	run := func(b *testing.B) {
+	for n := 0; n < b.N; n++ {
 		for _, r := range rates {
 			cfg := analysis.DefaultConfig()
 			cfg.LinkRate = r
@@ -785,39 +734,4 @@ func BenchmarkAnalysisGrid(b *testing.B) {
 			}
 		}
 	}
-	b.Run("off", func(b *testing.B) {
-		prevMemo := netcalc.SetMemoEnabled(false)
-		prevCache := analysis.SetCacheEnabled(false)
-		defer func() {
-			netcalc.SetMemoEnabled(prevMemo)
-			analysis.SetCacheEnabled(prevCache)
-		}()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run(b)
-		}
-	})
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			netcalc.ResetMemo()
-			analysis.ResetDefaultCache()
-			run(b)
-		}
-		b.StopTimer()
-		// The per-iteration resets zero both counter sets, so the live
-		// counters are exactly the last pass's single-grid hit rates.
-		reportHitRates(b, netcalc.MemoStats{}, analysis.CacheStats{})
-	})
-	b.Run("warm", func(b *testing.B) {
-		netcalc.ResetMemo()
-		analysis.ResetDefaultCache()
-		run(b) // prime
-		m0, c0 := netcalc.Stats(), analysis.DefaultCacheStats()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run(b)
-		}
-		b.StopTimer()
-		reportHitRates(b, m0, c0)
-	})
 }

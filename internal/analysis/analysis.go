@@ -13,10 +13,12 @@
 //	D_p = ( Σ_{i∈⋃_{q≤p}S_q} bᵢ + max_{j∈⋃_{q>p}S_q} bⱼ )
 //	      / ( C − Σ_{i∈⋃_{q<p}S_q} rᵢ )  +  t_techno             (paper §2)
 //
-// Both closed forms are implemented directly, and every bound is
+// Both closed forms, and the backlog bound Σbᵢ + Σrᵢ·t_techno, are
+// implemented directly over one pass of per-class sums, and every bound is
 // cross-checked against the generic network-calculus pipeline
-// (internal/netcalc) — residual service curves plus horizontal deviation —
-// which reproduces them exactly for token-bucket flows.
+// (internal/netcalc) — residual service curves plus horizontal and
+// vertical deviation — which reproduces them exactly for token-bucket
+// flows.
 package analysis
 
 import (
@@ -171,11 +173,8 @@ func FCFSBound(specs []FlowSpec, cfg Config) (simtime.Duration, error) {
 	if err := cfg.Validate(); err != nil {
 		return 0, err
 	}
-	if SumR(specs) > cfg.LinkRate {
-		return 0, ErrUnstable
-	}
-	d := float64(SumB(specs).Bits()) / float64(cfg.LinkRate.BitsPerSecond())
-	return secondsToDuration(d) + cfg.TTechno, nil
+	s := sumsOf(specs)
+	return s.fcfs(cfg)
 }
 
 // PriorityBound computes the paper's approach-2 bound D_p for class p over
@@ -188,31 +187,151 @@ func PriorityBound(specs []FlowSpec, p traffic.Priority, cfg Config) (simtime.Du
 	if !p.Valid() {
 		return 0, fmt.Errorf("analysis: invalid priority %v", p)
 	}
-	if SumR(specs) > cfg.LinkRate {
+	s := sumsOf(specs)
+	return s.priority(p, cfg)
+}
+
+// BacklogBound returns the worst-case buffer occupancy (bits) of a
+// multiplexer fed by specs — the dimensioning that prevents the frame loss
+// the paper warns about ("messages can be lost if buffers overflow"). For
+// a token-bucket aggregate against the rate-latency service β_{C,t_techno}
+// the vertical deviation is Σbᵢ + Σrᵢ·t_techno whenever Σrᵢ ≤ C
+// (EXPERIMENTS M5), evaluated here as the very float64 expression the
+// generic pipeline (BacklogBoundNC) reaches, so the two agree bit for bit.
+func BacklogBound(specs []FlowSpec, cfg Config) (simtime.Size, error) {
+	if err := cfg.Validate(); err != nil {
+		return 0, err
+	}
+	s := sumsOf(specs)
+	return s.backlog(cfg)
+}
+
+// classSums is the one-pass summary of a multiplexer's members that every
+// closed form reads: per 802.1p class, Σbᵢ, Σrᵢ, max bᵢ and the member
+// count. The sums are exact integers, so the order members are added in
+// never changes a bound.
+type classSums struct {
+	b    [traffic.NumPriorities]simtime.Size
+	r    [traffic.NumPriorities]simtime.Rate
+	maxB [traffic.NumPriorities]simtime.Size
+	n    [traffic.NumPriorities]int
+}
+
+// sumsOf summarizes specs.
+func sumsOf(specs []FlowSpec) classSums {
+	var s classSums
+	for _, f := range specs {
+		s.add(f)
+	}
+	return s
+}
+
+// add accounts one member.
+func (s *classSums) add(f FlowSpec) {
+	p := f.Msg.Priority
+	s.b[p] += f.B
+	s.r[p] += f.R
+	s.maxB[p] = max(s.maxB[p], f.B)
+	s.n[p]++
+}
+
+// total returns Σbᵢ and Σrᵢ over every class.
+func (s *classSums) total() (simtime.Size, simtime.Rate) {
+	var b simtime.Size
+	var r simtime.Rate
+	for p := range s.b {
+		b += s.b[p]
+		r += s.r[p]
+	}
+	return b, r
+}
+
+// fcfs is FCFSBound over the summarized members; cfg must be valid.
+func (s *classSums) fcfs(cfg Config) (simtime.Duration, error) {
+	b, r := s.total()
+	if r > cfg.LinkRate {
 		return 0, ErrUnstable
 	}
-	classes := ByPriority(specs)
+	d := float64(b.Bits()) / float64(cfg.LinkRate.BitsPerSecond())
+	return secondsToDuration(d) + cfg.TTechno, nil
+}
+
+// priority is PriorityBound for class p over the summarized members; cfg
+// and p must be valid.
+func (s *classSums) priority(p traffic.Priority, cfg Config) (simtime.Duration, error) {
+	if _, r := s.total(); r > cfg.LinkRate {
+		return 0, ErrUnstable
+	}
 	var numBits int64
 	var higherRate simtime.Rate
-	var lower []FlowSpec
+	var blocking simtime.Size
 	for q := traffic.P0; q < traffic.NumPriorities; q++ {
 		switch {
 		case q < p:
-			numBits += int64(SumB(classes[q]))
-			higherRate += SumR(classes[q])
+			numBits += int64(s.b[q])
+			higherRate += s.r[q]
 		case q == p:
-			numBits += int64(SumB(classes[q]))
+			numBits += int64(s.b[q])
 		default:
-			lower = append(lower, classes[q]...)
+			blocking = max(blocking, s.maxB[q])
 		}
 	}
-	numBits += int64(MaxB(lower))
+	numBits += int64(blocking)
 	den := cfg.LinkRate - higherRate
 	if den <= 0 {
 		return 0, ErrUnstable
 	}
 	d := float64(numBits) / float64(den.BitsPerSecond())
 	return secondsToDuration(d) + cfg.TTechno, nil
+}
+
+// backlog is BacklogBound over the summarized members; cfg must be valid.
+func (s *classSums) backlog(cfg Config) (simtime.Size, error) {
+	b, r := s.total()
+	if r > cfg.LinkRate {
+		return 0, ErrUnstable
+	}
+	return simtime.Size(math.Ceil(float64(b) + float64(r)*cfg.TTechno.Seconds())), nil
+}
+
+// muxTable is the bound of every member of one multiplexer: FCFS has one
+// bound for the whole group and strict priority one per class, so a table
+// costs at most four closed-form evaluations however many flows share
+// the multiplexer.
+type muxTable struct {
+	d   [traffic.NumPriorities]simtime.Duration
+	err [traffic.NumPriorities]error
+}
+
+// table evaluates the discipline's closed form over the summarized
+// members: FCFS once, strict priority once per class with a member.
+func (s *classSums) table(approach Approach, cfg Config) muxTable {
+	var t muxTable
+	switch approach {
+	case FCFS:
+		d, err := s.fcfs(cfg)
+		for p := range t.d {
+			t.d[p], t.err[p] = d, err
+		}
+	case Priority:
+		for p := traffic.P0; p < traffic.NumPriorities; p++ {
+			if s.n[p] > 0 {
+				t.d[p], t.err[p] = s.priority(p, cfg)
+			}
+		}
+	default:
+		err := fmt.Errorf("analysis: unknown approach %v", approach)
+		for p := range t.err {
+			t.err[p] = err
+		}
+	}
+	return t
+}
+
+// delay returns the table's bound for one member.
+func (t *muxTable) delay(member FlowSpec) (simtime.Duration, error) {
+	p := member.Msg.Priority
+	return t.d[p], t.err[p]
 }
 
 // FCFSBoundNC computes the approach-1 bound through the generic network
@@ -272,10 +391,11 @@ func tokenBucketOf(f FlowSpec) netcalc.Curve {
 	return netcalc.TokenBucket(float64(f.B.Bits()), float64(f.R.BitsPerSecond()))
 }
 
-// BacklogBound returns the worst-case buffer occupancy (bits) of a
-// multiplexer fed by specs — the dimensioning that prevents the frame loss
-// the paper warns about ("messages can be lost if buffers overflow").
-func BacklogBound(specs []FlowSpec, cfg Config) (simtime.Size, error) {
+// BacklogBoundNC computes the backlog bound through the generic network
+// calculus: vertical deviation of the aggregate token bucket against the
+// link's rate-latency curve. It is the oracle BacklogBound is checked
+// against, bit for bit and on instability.
+func BacklogBoundNC(specs []FlowSpec, cfg Config) (simtime.Size, error) {
 	agg := netcalc.Zero()
 	for _, f := range specs {
 		agg = agg.Add(tokenBucketOf(f))

@@ -188,6 +188,77 @@ func TestBacklogBound(t *testing.T) {
 	}
 }
 
+// TestBacklogBoundMatchesNetcalcAtBoundaries pins the closed-form
+// backlog bound Σbᵢ + Σrᵢ·t_techno to the netcalc vertical deviation it
+// replaced (BacklogBoundNC), bit for bit and on ErrUnstable, at the
+// numerical edges: an aggregate rate one bit/s below, at and above the
+// link rate, an edge no flow crosses, and a 1 bit/s link — each with no
+// relaying latency (station uplinks) and with the paper's 140 µs.
+func TestBacklogBoundMatchesNetcalcAtBoundaries(t *testing.T) {
+	const c = 10 * simtime.Mbps
+	flow := func(p traffic.Priority, b simtime.Size, r simtime.Rate) FlowSpec {
+		return FlowSpec{Msg: &traffic.Message{Name: p.String(), Priority: p}, B: b, R: r}
+	}
+	// Two classes whose rates sum to C + delta.
+	split := func(delta simtime.Rate) []FlowSpec {
+		return []FlowSpec{flow(traffic.P0, 1000, 3*simtime.Mbps), flow(traffic.P3, 12304, c-3*simtime.Mbps+delta)}
+	}
+	cases := []struct {
+		name     string
+		specs    []FlowSpec
+		rate     simtime.Rate
+		unstable bool
+	}{
+		{"sum r = C-1", split(-1), c, false},
+		{"sum r = C", split(0), c, false},
+		{"sum r = C+1", split(1), c, true},
+		{"no flow", nil, c, false},
+		{"1 bit/s link, no flow", nil, simtime.BitPerSecond, false},
+		{"1 bit/s link, 1 bit/s flow", []FlowSpec{flow(traffic.P2, 1000, 1)}, simtime.BitPerSecond, false},
+		{"1 bit/s link, 2 bit/s flow", []FlowSpec{flow(traffic.P2, 1000, 2)}, simtime.BitPerSecond, true},
+	}
+	for _, tc := range cases {
+		for _, tt := range []simtime.Duration{0, 140 * simtime.Microsecond} {
+			cfg := Config{LinkRate: tc.rate, TTechno: tt}
+			got, gotErr := BacklogBound(tc.specs, cfg)
+			want, wantErr := BacklogBoundNC(tc.specs, cfg)
+			if gotErr != nil && !errors.Is(gotErr, ErrUnstable) {
+				t.Fatalf("%s, t_techno %v: %v", tc.name, tt, gotErr)
+			}
+			if (gotErr != nil) != tc.unstable || (wantErr != nil) != tc.unstable {
+				t.Errorf("%s, t_techno %v: unstable closed form %v, netcalc %v, want %t", tc.name, tt, gotErr, wantErr, tc.unstable)
+			}
+			if got != want {
+				t.Errorf("%s, t_techno %v: closed form %d bits, netcalc %d bits", tc.name, tt, got.Bits(), want.Bits())
+			}
+		}
+	}
+	// The formula itself, at Σr = C: 13304 + 10⁷·140·10⁻⁶ bits.
+	if got, err := BacklogBound(split(0), cfg10M()); err != nil || got != 14704 {
+		t.Errorf("backlog at Σr = C = (%d, %v), want 14704 bits", got.Bits(), err)
+	}
+}
+
+// TestBacklogBoundExactBelowNetcalcTolerance pins the one latency where
+// the closed form and the netcalc oracle part ways, in the closed form's
+// favour: at t_techno = 1 ns the rate-latency knee lies within netcalc's
+// 1e-9 abscissa tolerance, so its curve normalization merges the knee
+// into the origin and prices Σbᵢ alone, while the true bound is
+// ⌈Σbᵢ + Σrᵢ·1 ns⌉. Scenario files give t_techno in whole microseconds,
+// so no scenario reaches this; the Go API can.
+func TestBacklogBoundExactBelowNetcalcTolerance(t *testing.T) {
+	f := FlowSpec{Msg: &traffic.Message{Name: "f", Priority: traffic.P1}, B: 1000, R: 5 * simtime.Mbps}
+	for _, c := range []struct {
+		ttechno simtime.Duration
+		want    simtime.Size
+	}{{1, 1001}, {2, 1001}, {simtime.Microsecond, 1005}} {
+		cfg := Config{LinkRate: 10 * simtime.Mbps, TTechno: c.ttechno}
+		if got, err := BacklogBound([]FlowSpec{f}, cfg); err != nil || got != c.want {
+			t.Errorf("t_techno %v: backlog (%d, %v), want %d bits", c.ttechno, got.Bits(), err, c.want.Bits())
+		}
+	}
+}
+
 func TestTransmissionFloor(t *testing.T) {
 	f := handSpecs()[0] // 1000 bits at 10 Mbps = 100 µs, + 140 µs.
 	if got := TransmissionFloor(f, cfg10M()); got != 240*simtime.Microsecond {

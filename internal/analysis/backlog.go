@@ -145,15 +145,22 @@ func swName(id int) string { return fmt.Sprintf("sw%d", id) }
 // the workload: every station uplink, every trunk in both directions,
 // every destination port. Per-trunk and per-station rate overrides are
 // honored (they decide per-edge stability), and the destination-edge
-// bounds coincide exactly with the historical PortBacklogs. Edge bounds
-// are reused through the process-wide analysis cache.
+// bounds coincide exactly with the historical PortBacklogs. Each edge is
+// priced by the closed form Σbᵢ + Σrᵢ·t_techno over its members' sums.
 func EdgeBacklogs(set *traffic.Set, cfg Config, tree *Tree) (*EdgeBacklogResult, error) {
-	return EdgeBacklogsCached(set, cfg, tree, DefaultCache())
+	return edgeBacklogs(set, cfg, tree, nil)
 }
 
-// EdgeBacklogsCached is EdgeBacklogs against an explicit cache (nil
-// caches nothing). Results are byte-identical for any cache state.
-func EdgeBacklogsCached(set *traffic.Set, cfg Config, tree *Tree, c *Cache) (*EdgeBacklogResult, error) {
+// EdgeBacklogsNC is EdgeBacklogs with every edge priced through the
+// generic network calculus (BacklogBoundNC) — the oracle the closed form
+// must reproduce bit for bit, instability included.
+func EdgeBacklogsNC(set *traffic.Set, cfg Config, tree *Tree) (*EdgeBacklogResult, error) {
+	return edgeBacklogs(set, cfg, tree, BacklogBoundNC)
+}
+
+// edgeBacklogs enumerates and prices every directed edge, through the
+// closed form when oracle is nil and through oracle otherwise.
+func edgeBacklogs(set *traffic.Set, cfg Config, tree *Tree, oracle func([]FlowSpec, Config) (simtime.Size, error)) (*EdgeBacklogResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -169,30 +176,46 @@ func EdgeBacklogsCached(set *traffic.Set, cfg Config, tree *Tree, c *Cache) (*Ed
 	}
 	specs := Specs(set, cfg)
 
-	// Route every flow once; collect the flows crossing each directed
-	// trunk edge.
-	paths, err := c.flowPaths(tree, specs)
+	// The members of every queue, as flow indices in catalog order: route
+	// every flow once for the trunks.
+	paths, err := tree.routes(specs)
 	if err != nil {
 		return nil, err
 	}
-	trunkFlows := map[dirEdge][]FlowSpec{}
+	trunkFlows := map[dirEdge][]int{}
+	bySource, byDest := map[string][]int{}, map[string][]int{}
 	for i, f := range specs {
 		for _, e := range paths[i] {
-			trunkFlows[e] = append(trunkFlows[e], f)
+			trunkFlows[e] = append(trunkFlows[e], i)
 		}
+		bySource[f.Msg.Source] = append(bySource[f.Msg.Source], i)
+		byDest[f.Msg.Dest] = append(byDest[f.Msg.Dest], i)
 	}
-	bySource := groupBy(specs, func(f FlowSpec) string { return f.Msg.Source })
-	byDest := groupBy(specs, func(f FlowSpec) string { return f.Msg.Dest })
 
-	res := &EdgeBacklogResult{Cfg: cfg}
-	price := func(e EdgeBacklog, flows []FlowSpec, rate simtime.Rate, ttechno simtime.Duration) error {
+	res := &EdgeBacklogResult{Cfg: cfg, Edges: make([]EdgeBacklog, 0, 2*len(stations)+2*len(tree.Links))}
+	price := func(e EdgeBacklog, members []int, rate simtime.Rate, ttechno simtime.Duration) error {
 		edgeCfg := cfg
 		edgeCfg.LinkRate = rate
 		edgeCfg.TTechno = ttechno
-		for _, f := range flows {
-			e.Flows = append(e.Flows, f.Msg.Name)
+		var sums classSums
+		if len(members) > 0 {
+			e.Flows = make([]string, len(members))
 		}
-		b, err := c.backlogBound(flows, edgeCfg)
+		for k, i := range members {
+			e.Flows[k] = specs[i].Msg.Name
+			sums.add(specs[i])
+		}
+		var b simtime.Size
+		var err error
+		if oracle == nil {
+			b, err = sums.backlog(edgeCfg)
+		} else {
+			flows := make([]FlowSpec, len(members))
+			for k, i := range members {
+				flows[k] = specs[i]
+			}
+			b, err = oracle(flows, edgeCfg)
+		}
 		switch {
 		case errors.Is(err, ErrUnstable):
 			e.Unstable = true

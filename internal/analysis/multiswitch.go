@@ -56,11 +56,12 @@ func TwoSwitchEndToEnd(set *traffic.Set, approach Approach, cfg Config, assign A
 	// Stage 1: source uplink multiplexers (no relaying latency).
 	srcCfg := cfg
 	srcCfg.TTechno = 0
-	bySource := groupBy(specs, func(f FlowSpec) string { return f.Msg.Source })
+	src := groupByStation(specs, sourceOf)
+	srcTables := src.tables(specs, approach, func(string) Config { return srcCfg })
 	stage1 := make([]simtime.Duration, len(specs))
 	afterSrc := make([]FlowSpec, len(specs))
 	for i, f := range specs {
-		d, err := muxBound(bySource[f.Msg.Source], f, approach, srcCfg)
+		d, err := srcTables[src.of[i]].delay(f)
 		if err != nil {
 			return nil, fmt.Errorf("station %s: %w", f.Msg.Source, err)
 		}
@@ -72,12 +73,13 @@ func TwoSwitchEndToEnd(set *traffic.Set, approach Approach, cfg Config, assign A
 	// switch 0 with destinations on switch 1, and vice versa. The trunk
 	// egress follows the source-side switch's relaying (t_techno applies).
 	crosses := func(f FlowSpec) bool { return assign(f.Msg.Source) != assign(f.Msg.Dest) }
-	var trunk [2][]FlowSpec
+	var trunk [2]classSums
 	for i, f := range specs {
 		if crosses(f) {
-			trunk[assign(f.Msg.Source)] = append(trunk[assign(f.Msg.Source)], afterSrc[i])
+			trunk[assign(f.Msg.Source)].add(afterSrc[i])
 		}
 	}
+	trunkTables := [2]muxTable{trunk[0].table(approach, cfg), trunk[1].table(approach, cfg)}
 	stage2 := make([]simtime.Duration, len(specs))
 	afterTrunk := make([]FlowSpec, len(specs))
 	copy(afterTrunk, afterSrc)
@@ -85,7 +87,7 @@ func TwoSwitchEndToEnd(set *traffic.Set, approach Approach, cfg Config, assign A
 		if !crosses(f) {
 			continue
 		}
-		d, err := muxBound(trunk[assign(f.Msg.Source)], afterSrc[i], approach, cfg)
+		d, err := trunkTables[assign(f.Msg.Source)].delay(afterSrc[i])
 		if err != nil {
 			return nil, fmt.Errorf("trunk %d→%d: %w", assign(f.Msg.Source), assign(f.Msg.Dest), err)
 		}
@@ -94,10 +96,11 @@ func TwoSwitchEndToEnd(set *traffic.Set, approach Approach, cfg Config, assign A
 	}
 
 	// Stage 3: destination ports, fed by local and trunk-inflated flows.
-	byDest := groupBy(afterTrunk, func(f FlowSpec) string { return f.Msg.Dest })
+	dst := groupByStation(specs, destOf)
+	dstTables := dst.tables(afterTrunk, approach, func(string) Config { return cfg })
 	res := &Result{Approach: approach, Cfg: cfg}
 	for i, f := range specs {
-		d, err := muxBound(byDest[f.Msg.Dest], afterTrunk[i], approach, cfg)
+		d, err := dstTables[dst.of[i]].delay(afterTrunk[i])
 		if err != nil {
 			return nil, fmt.Errorf("port %s: %w", f.Msg.Dest, err)
 		}

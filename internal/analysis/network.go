@@ -87,19 +87,6 @@ func (r *Result) ViolatedNames() []string {
 	return out
 }
 
-// muxBound computes the discipline-dependent bound of one multiplexer for
-// a member connection.
-func muxBound(specs []FlowSpec, member FlowSpec, approach Approach, cfg Config) (simtime.Duration, error) {
-	switch approach {
-	case FCFS:
-		return FCFSBound(specs, cfg)
-	case Priority:
-		return PriorityBound(specs, member.Msg.Priority, cfg)
-	default:
-		return 0, fmt.Errorf("analysis: unknown approach %v", approach)
-	}
-}
-
 // SingleHop runs the paper-faithful analysis: each connection's bound is
 // the closed-form latency of its destination multiplexer (all connections
 // converging on the same station), t_techno included.
@@ -111,12 +98,12 @@ func SingleHop(set *traffic.Set, approach Approach, cfg Config) (*Result, error)
 		return nil, err
 	}
 	specs := Specs(set, cfg)
-	byDest := groupBy(specs, func(f FlowSpec) string { return f.Msg.Dest })
+	dst := groupByStation(specs, destOf)
+	tables := dst.tables(specs, approach, func(string) Config { return cfg })
 
 	res := &Result{Approach: approach, Cfg: cfg}
-	for _, f := range specs {
-		port := byDest[f.Msg.Dest]
-		d, err := muxBound(port, f, approach, cfg)
+	for i, f := range specs {
+		d, err := tables[dst.of[i]].delay(f)
 		if err != nil {
 			return nil, fmt.Errorf("port %s: %w", f.Msg.Dest, err)
 		}
@@ -143,36 +130,37 @@ func EndToEnd(set *traffic.Set, approach Approach, cfg Config) (*Result, error) 
 		return nil, err
 	}
 	specs := Specs(set, cfg)
-	bySource := groupBy(specs, func(f FlowSpec) string { return f.Msg.Source })
 
 	// Stage 1: source multiplexers. No relaying latency inside a station.
 	srcCfg := cfg
 	srcCfg.TTechno = 0
-	srcDelay := map[string]simtime.Duration{}
-	inflated := make([]FlowSpec, 0, len(specs))
-	for _, f := range specs {
-		d, err := muxBound(bySource[f.Msg.Source], f, approach, srcCfg)
+	src := groupByStation(specs, sourceOf)
+	srcTables := src.tables(specs, approach, func(string) Config { return srcCfg })
+	srcDelay := make([]simtime.Duration, len(specs))
+	inflated := make([]FlowSpec, len(specs))
+	for i, f := range specs {
+		d, err := srcTables[src.of[i]].delay(f)
 		if err != nil {
 			return nil, fmt.Errorf("station %s: %w", f.Msg.Source, err)
 		}
-		srcDelay[f.Msg.Name] = d
-		inflated = append(inflated, inflate(f, d))
+		srcDelay[i] = d
+		inflated[i] = inflate(f, d)
 	}
 
 	// Stage 2: destination ports see the inflated output curves.
-	byDest := groupBy(inflated, func(f FlowSpec) string { return f.Msg.Dest })
+	dst := groupByStation(specs, destOf)
+	dstTables := dst.tables(inflated, approach, func(string) Config { return cfg })
 	res := &Result{Approach: approach, Cfg: cfg}
 	for i, f := range specs {
-		inf := inflated[i]
-		d, err := muxBound(byDest[f.Msg.Dest], inf, approach, cfg)
+		d, err := dstTables[dst.of[i]].delay(inflated[i])
 		if err != nil {
 			return nil, fmt.Errorf("port %s: %w", f.Msg.Dest, err)
 		}
 		pb := PathBound{
 			Spec:        f,
-			SourceDelay: srcDelay[f.Msg.Name],
+			SourceDelay: srcDelay[i],
 			PortDelay:   d,
-			EndToEnd:    srcDelay[f.Msg.Name] + d,
+			EndToEnd:    srcDelay[i] + d,
 			// The floor crosses two serializations (station uplink and
 			// switch output) plus the relaying latency.
 			Floor: 2*simtime.TransmissionTime(f.B, cfg.LinkRate) + cfg.TTechno,
@@ -182,6 +170,50 @@ func EndToEnd(set *traffic.Set, approach Approach, cfg Config) (*Result, error) 
 		res.add(pb)
 	}
 	return res, nil
+}
+
+// stationGroups assigns every flow to a per-station multiplexer (its
+// source uplink or its destination port), numbered in order of first
+// appearance: of[i] is flow i's multiplexer and stations[g] the station
+// of multiplexer g.
+type stationGroups struct {
+	of       []int
+	stations []string
+}
+
+func sourceOf(m *traffic.Message) string { return m.Source }
+func destOf(m *traffic.Message) string   { return m.Dest }
+
+// groupByStation groups the flows by station(flow).
+func groupByStation(specs []FlowSpec, station func(*traffic.Message) string) stationGroups {
+	ids := map[string]int{}
+	g := stationGroups{of: make([]int, len(specs))}
+	for i, f := range specs {
+		st := station(f.Msg)
+		id, ok := ids[st]
+		if !ok {
+			id = len(g.stations)
+			ids[st] = id
+			g.stations = append(g.stations, st)
+		}
+		g.of[i] = id
+	}
+	return g
+}
+
+// tables sums the flows' current curves (curves[i] for flow i) per
+// multiplexer and evaluates each multiplexer once, at the configuration
+// cfgOf returns for its station.
+func (g stationGroups) tables(curves []FlowSpec, approach Approach, cfgOf func(station string) Config) []muxTable {
+	sums := make([]classSums, len(g.stations))
+	for i, f := range curves {
+		sums[g.of[i]].add(f)
+	}
+	out := make([]muxTable, len(sums))
+	for k := range sums {
+		out[k] = sums[k].table(approach, cfgOf(g.stations[k]))
+	}
+	return out
 }
 
 // inflate applies the delay-jitter output transformation: a (b, r) flow

@@ -272,6 +272,90 @@ func (t *Tree) SwitchPath(a, b string) ([]int, error) {
 	return path, nil
 }
 
+// routes returns every flow's directed trunk-edge sequence along its
+// unique tree path (empty for co-located endpoints). One BFS roots the
+// tree at switch 0; the path between two switches climbs from each to
+// their lowest common ancestor, so no flow needs a search of its own, and
+// all paths share one exactly sized edge array.
+func (t *Tree) routes(specs []FlowSpec) ([][]dirEdge, error) {
+	parent, depth := t.rooted()
+	type route struct{ from, to, hops int }
+	rs := make([]route, len(specs))
+	total := 0
+	for i, f := range specs {
+		a, ok := t.StationSwitch[f.Msg.Source]
+		if !ok {
+			return nil, fmt.Errorf("analysis: unknown station %q", f.Msg.Source)
+		}
+		b, ok := t.StationSwitch[f.Msg.Dest]
+		if !ok {
+			return nil, fmt.Errorf("analysis: unknown station %q", f.Msg.Dest)
+		}
+		if depth[a] < 0 || depth[b] < 0 {
+			return nil, fmt.Errorf("analysis: no path between switches %d and %d", a, b)
+		}
+		n := 0
+		for x, y := a, b; x != y; n++ {
+			if depth[x] >= depth[y] {
+				x = parent[x]
+			} else {
+				y = parent[y]
+			}
+		}
+		rs[i] = route{a, b, n}
+		total += n
+	}
+	edges := make([]dirEdge, total)
+	paths := make([][]dirEdge, len(specs))
+	for i, r := range rs {
+		if r.hops == 0 {
+			continue
+		}
+		p := edges[:r.hops:r.hops]
+		edges = edges[r.hops:]
+		// Climb from both ends: the source side fills p forwards, the
+		// destination side backwards.
+		a, b, lo, hi := r.from, r.to, 0, r.hops
+		for a != b {
+			if depth[a] >= depth[b] {
+				p[lo] = dirEdge{a, parent[a]}
+				lo++
+				a = parent[a]
+			} else {
+				hi--
+				p[hi] = dirEdge{parent[b], b}
+				b = parent[b]
+			}
+		}
+		paths[i] = p
+	}
+	return paths, nil
+}
+
+// rooted roots the tree at switch 0 by BFS, returning every switch's
+// parent and depth (depth −1 for switches 0 cannot reach).
+func (t *Tree) rooted() (parent, depth []int) {
+	adj := t.adjacency()
+	parent = make([]int, t.Switches)
+	depth = make([]int, t.Switches)
+	for i := range depth {
+		depth[i] = -1
+	}
+	depth[0] = 0
+	queue := make([]int, 1, t.Switches)
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for _, v := range adj[u] {
+			if depth[v] < 0 {
+				parent[v], depth[v] = u, depth[u]+1
+				queue = append(queue, v)
+			}
+		}
+	}
+	return parent, depth
+}
+
 // dirEdge is a directed trunk edge.
 type dirEdge struct{ from, to int }
 
@@ -340,15 +424,11 @@ func trunkTopoOrder(paths [][]dirEdge) ([]dirEdge, error) {
 	return order, nil
 }
 
-// TreeEndToEnd bounds every connection over the tree topology, reusing
-// shared stage results through the process-wide analysis cache.
+// TreeEndToEnd bounds every connection over the tree topology. Every
+// multiplexer — each source uplink, each directed trunk, each destination
+// port — is evaluated once from the per-class sums of the curves entering
+// it, and every member reads its bound from that table.
 func TreeEndToEnd(set *traffic.Set, approach Approach, cfg Config, tree *Tree) (*Result, error) {
-	return TreeEndToEndCached(set, approach, cfg, tree, DefaultCache())
-}
-
-// TreeEndToEndCached is TreeEndToEnd against an explicit cache (nil
-// caches nothing). Results are byte-identical for any cache state.
-func TreeEndToEndCached(set *traffic.Set, approach Approach, cfg Config, tree *Tree, c *Cache) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -370,30 +450,31 @@ func TreeEndToEndCached(set *traffic.Set, approach Approach, cfg Config, tree *T
 		linkIdx[dirEdge{l[0], l[1]}] = i
 		linkIdx[dirEdge{l[1], l[0]}] = i
 	}
-	paths, err := c.flowPaths(tree, specs)
+	paths, err := tree.routes(specs)
 	if err != nil {
 		return nil, err
+	}
+	// accessCfg prices a station's access link — its uplink or its
+	// destination port — at the station's own rate.
+	accessCfg := func(ttechno simtime.Duration) func(string) Config {
+		return func(st string) Config {
+			c := cfg
+			c.LinkRate = tree.StationRate(st, cfg.LinkRate)
+			c.TTechno = ttechno
+			return c
+		}
 	}
 
 	// Stage 1: source uplinks, each at the station's access-link rate.
 	// Propagation delays are constant shifts: they accumulate into fixed[i]
 	// (added to bound and floor alike) without inflating any arrival curve.
-	// One delay table per station covers all its flows.
-	bySource := groupBy(specs, func(f FlowSpec) string { return f.Msg.Source })
-	srcTables := make(map[string]*muxDelays, len(bySource))
+	src := groupByStation(specs, sourceOf)
+	srcTables := src.tables(specs, approach, accessCfg(0))
 	stage1 := make([]simtime.Duration, len(specs))
 	fixed := make([]simtime.Duration, len(specs))
 	current := make([]FlowSpec, len(specs)) // spec after the last processed stage
 	for i, f := range specs {
-		tbl := srcTables[f.Msg.Source]
-		if tbl == nil {
-			srcCfg := cfg
-			srcCfg.TTechno = 0
-			srcCfg.LinkRate = tree.StationRate(f.Msg.Source, cfg.LinkRate)
-			tbl = c.muxDelays(bySource[f.Msg.Source], approach, srcCfg)
-			srcTables[f.Msg.Source] = tbl
-		}
-		d, err := tbl.delayFor(f)
+		d, err := srcTables[src.of[i]].delay(f)
 		if err != nil {
 			return nil, fmt.Errorf("station %s: %w", f.Msg.Source, err)
 		}
@@ -416,7 +497,9 @@ func TreeEndToEndCached(set *traffic.Set, approach Approach, cfg Config, tree *T
 	}
 
 	// Stage 2: trunk multiplexers in dependency order, each at its trunk's
-	// capacity.
+	// capacity. The table is evaluated over the entering curves before any
+	// member is inflated, so every flow sees its peers' entering curves,
+	// not their exits.
 	trunkDelay := make([]simtime.Duration, len(specs)) // accumulated per flow
 	for _, e := range order {
 		li, ok := linkIdx[e]
@@ -426,46 +509,32 @@ func TreeEndToEndCached(set *traffic.Set, approach Approach, cfg Config, tree *T
 		edgeCfg := cfg
 		edgeCfg.LinkRate = tree.TrunkRate(li, cfg.LinkRate)
 		flows := edgeFlows[e]
-		agg := make([]FlowSpec, 0, len(flows))
+		var sums classSums
 		for _, i := range flows {
-			agg = append(agg, current[i])
+			sums.add(current[i])
 		}
-		tbl := c.muxDelays(agg, approach, edgeCfg)
-		// Each (flow, edge) bound is computed once and reused by the
-		// inflation loop below. (An earlier revision called the bound a
-		// second time with identical inputs to inflate — a silent 2× on
-		// the trunk stage and a drift hazard had the two calls diverged.)
-		delays := make([]simtime.Duration, len(flows))
-		for k, i := range flows {
-			d, err := tbl.delayFor(current[i])
+		tbl := sums.table(approach, edgeCfg)
+		for _, i := range flows {
+			d, err := tbl.delay(current[i])
 			if err != nil {
 				return nil, fmt.Errorf("trunk %d→%d: %w", e.from, e.to, err)
 			}
-			delays[k] = d
 			trunkDelay[i] += d
 			fixed[i] += tree.TrunkProp(li)
-		}
-		// Inflate after all bounds at this edge are computed (every flow
-		// sees its peers' entering curves, not their exits).
-		for k, i := range flows {
-			current[i] = inflate(current[i], delays[k])
+			current[i] = inflate(current[i], d)
 		}
 	}
 
 	// Stage 3: destination ports, serializing onto the destination
-	// station's access link. One delay table per destination port.
-	byDest := groupBy(current, func(f FlowSpec) string { return f.Msg.Dest })
-	destTables := make(map[string]*muxDelays, len(byDest))
+	// station's access link.
+	dst := groupByStation(specs, destOf)
+	dstTables := dst.tables(current, approach, accessCfg(cfg.TTechno))
 	res := &Result{Approach: approach, Cfg: cfg}
+	if len(specs) > 0 {
+		res.Flows = make([]PathBound, 0, len(specs))
+	}
 	for i, f := range specs {
-		destCfg := cfg
-		destCfg.LinkRate = tree.StationRate(f.Msg.Dest, cfg.LinkRate)
-		tbl := destTables[f.Msg.Dest]
-		if tbl == nil {
-			tbl = c.muxDelays(byDest[f.Msg.Dest], approach, destCfg)
-			destTables[f.Msg.Dest] = tbl
-		}
-		d, err := tbl.delayFor(current[i])
+		d, err := dstTables[dst.of[i]].delay(current[i])
 		if err != nil {
 			return nil, fmt.Errorf("port %s: %w", f.Msg.Dest, err)
 		}
@@ -473,7 +542,7 @@ func TreeEndToEndCached(set *traffic.Set, approach Approach, cfg Config, tree *T
 		hops := len(paths[i]) + 2 // uplink + trunks + dest port
 		// The floor crosses each hop's own serialization rate.
 		floor := simtime.TransmissionTime(f.B, tree.StationRate(f.Msg.Source, cfg.LinkRate)) +
-			simtime.TransmissionTime(f.B, destCfg.LinkRate) +
+			simtime.TransmissionTime(f.B, tree.StationRate(f.Msg.Dest, cfg.LinkRate)) +
 			simtime.Duration(hops-1)*cfg.TTechno + fixed[i]
 		for _, e := range paths[i] {
 			floor += simtime.TransmissionTime(f.B, tree.TrunkRate(linkIdx[e], cfg.LinkRate))

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"slices"
 	"sort"
@@ -14,8 +15,24 @@ import (
 // This file pins the two latent bugs fixed in the trunk stage — the
 // double muxBound evaluation per (flow, trunk edge) and the from*1000+to
 // topological tie-break that collides at ≥1000 switches — plus the
-// byte-identity of the group-level delay tables against the historical
-// per-flow formulation.
+// byte-identity of the per-class-sum multiplexer tables against the
+// historical per-flow formulation, and of the closed-form edge backlogs
+// against their netcalc pricing.
+
+// muxBound is the historical per-flow multiplexer bound: the
+// discipline's closed form over the whole group, re-evaluated for every
+// member. The analyses now evaluate each multiplexer once (muxTable);
+// this is the reference they must reproduce.
+func muxBound(specs []FlowSpec, member FlowSpec, approach Approach, cfg Config) (simtime.Duration, error) {
+	switch approach {
+	case FCFS:
+		return FCFSBound(specs, cfg)
+	case Priority:
+		return PriorityBound(specs, member.Msg.Priority, cfg)
+	default:
+		return 0, fmt.Errorf("analysis: unknown approach %v", approach)
+	}
+}
 
 // treeEndToEndReference is a verbatim re-implementation of the historical
 // TreeEndToEnd: per-flow muxBound calls (evaluated twice per flow and
@@ -188,11 +205,12 @@ func chainTree(set *traffic.Set) *Tree {
 	return t
 }
 
-// TestTreeEndToEndMatchesReference pins the trunk-stage bugfix: storing
-// the accumulation loop's delays and reusing them for inflation (instead
-// of recomputing every bound) must leave every PathBound byte-identical
-// to the historical double-evaluating formulation, under both disciplines
-// and with heterogeneous trunk rates, with and without a cache.
+// TestTreeEndToEndMatchesReference pins the per-class-sum refactor and
+// the trunk-stage bugfix: one table per multiplexer, its delays reused
+// for inflation, must leave every PathBound byte-identical to the
+// historical per-flow, double-evaluating formulation, under both
+// disciplines and with heterogeneous trunk rates — and an unknown
+// discipline must fail with the reference's error.
 func TestTreeEndToEndMatchesReference(t *testing.T) {
 	set := traffic.RealCase()
 	cfg := DefaultConfig()
@@ -202,27 +220,14 @@ func TestTreeEndToEndMatchesReference(t *testing.T) {
 	hetero.TrunkProps = []simtime.Duration{simtime.Microsecond, 0, 3 * simtime.Microsecond}
 
 	for _, tree := range []*Tree{homo, hetero} {
-		for _, approach := range []Approach{FCFS, Priority} {
-			want, err := treeEndToEndReference(set, approach, cfg, tree)
-			if err != nil {
-				t.Fatal(err)
+		for _, approach := range []Approach{FCFS, Priority, Approach(7)} {
+			want, wantErr := treeEndToEndReference(set, approach, cfg, tree)
+			got, err := TreeEndToEnd(set, approach, cfg, tree)
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("%v: error %v, reference %v", approach, err, wantErr)
 			}
-			for name, c := range map[string]*Cache{"nil": nil, "fresh": NewCache()} {
-				got, err := TreeEndToEndCached(set, approach, cfg, tree, c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%v/%s cache: refactored TreeEndToEnd diverges from the per-flow double-evaluating reference", approach, name)
-				}
-				// A warm cache must reproduce the same bytes again.
-				again, err := TreeEndToEndCached(set, approach, cfg, tree, c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(again, want) {
-					t.Errorf("%v/%s cache: warm-cache rerun diverges", approach, name)
-				}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v: TreeEndToEnd diverges from the per-flow double-evaluating reference", approach)
 			}
 		}
 	}
@@ -341,7 +346,7 @@ func TestWideTreeUnstableTrunkErrorDeterministic(t *testing.T) {
 	cfg := DefaultConfig()
 	const want = "trunk 0→1000: analysis: aggregate rate exceeds link capacity"
 	for run := 0; run < 10; run++ {
-		_, err := TreeEndToEndCached(set, FCFS, cfg, tree, nil)
+		_, err := TreeEndToEnd(set, FCFS, cfg, tree)
 		if err == nil {
 			t.Fatal("expected the over-subscribed wide star to be unstable")
 		}
@@ -351,49 +356,67 @@ func TestWideTreeUnstableTrunkErrorDeterministic(t *testing.T) {
 	}
 }
 
-// TestMuxDelaysMatchesMuxBound asserts the group-level delay tables are
-// byte-identical to the historical per-flow muxBound calls they replace,
-// for every member and both disciplines.
+// TestMuxDelaysMatchesMuxBound asserts the per-class-sum multiplexer
+// tables are byte-identical to the historical per-flow muxBound calls
+// they replace, for every member and both disciplines, on the whole
+// catalog and on every destination port of it.
 func TestMuxDelaysMatchesMuxBound(t *testing.T) {
 	set := traffic.RealCase()
 	cfg := DefaultConfig()
 	specs := Specs(set, cfg)
-	for _, approach := range []Approach{FCFS, Priority} {
-		tbl := computeMuxDelays(specs, approach, cfg)
-		for _, f := range specs {
-			wantD, wantErr := muxBound(specs, f, approach, cfg)
-			gotD, gotErr := tbl.delayFor(f)
-			if gotD != wantD || !reflect.DeepEqual(gotErr, wantErr) {
-				t.Fatalf("%v %s: table (%v, %v) != muxBound (%v, %v)",
-					approach, f.Msg.Name, gotD, gotErr, wantD, wantErr)
+	groups := [][]FlowSpec{specs}
+	byDest := groupBy(specs, func(f FlowSpec) string { return f.Msg.Dest })
+	for _, dest := range slices.Sorted(maps.Keys(byDest)) {
+		groups = append(groups, byDest[dest])
+	}
+	for _, approach := range []Approach{FCFS, Priority, Approach(7)} {
+		for _, group := range groups {
+			sums := sumsOf(group)
+			tbl := sums.table(approach, cfg)
+			for _, f := range group {
+				wantD, wantErr := muxBound(group, f, approach, cfg)
+				gotD, gotErr := tbl.delay(f)
+				if gotD != wantD || !reflect.DeepEqual(gotErr, wantErr) {
+					t.Fatalf("%v %s: table (%v, %v) != muxBound (%v, %v)",
+						approach, f.Msg.Name, gotD, gotErr, wantD, wantErr)
+				}
 			}
 		}
 	}
 }
 
-// TestEdgeBacklogsCacheStates asserts EdgeBacklogs is byte-identical with
-// no cache, a fresh cache and a warm cache, and that the warm pass hits.
-func TestEdgeBacklogsCacheStates(t *testing.T) {
+// TestEdgeBacklogsMatchesNetcalcOracle asserts the closed-form edge
+// backlogs equal the netcalc-priced ones edge for edge — bound, flows and
+// instability — on homogeneous and heterogeneous chains, including one
+// whose slow trunks and access links over-subscribe some edges.
+func TestEdgeBacklogsMatchesNetcalcOracle(t *testing.T) {
 	set := traffic.RealCase()
 	cfg := DefaultConfig()
-	tree := chainTree(set)
-	want, err := EdgeBacklogsCached(set, cfg, tree, nil)
-	if err != nil {
-		t.Fatal(err)
+	hetero := chainTree(set)
+	hetero.TrunkRates = []simtime.Rate{100 * simtime.Mbps, 0, 25 * simtime.Mbps}
+	slow := chainTree(set)
+	slow.TrunkRates = []simtime.Rate{simtime.Mbps, simtime.BitPerSecond, 0}
+	slow.StationRates = map[string]simtime.Rate{set.Stations()[0]: simtime.BitPerSecond}
+	unstable := 0
+	for _, tree := range []*Tree{chainTree(set), hetero, slow} {
+		want, err := EdgeBacklogsNC(set, cfg, tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := EdgeBacklogs(set, cfg, tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Cfg != want.Cfg || !reflect.DeepEqual(got.Edges, want.Edges) {
+			t.Fatalf("closed-form EdgeBacklogs diverges from the netcalc pricing:\n got %+v\nwant %+v", got.Edges, want.Edges)
+		}
+		for _, e := range got.Edges {
+			if e.Unstable {
+				unstable++
+			}
+		}
 	}
-	c := NewCache()
-	cold, err := EdgeBacklogsCached(set, cfg, tree, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := EdgeBacklogsCached(set, cfg, tree, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cold.Edges, want.Edges) || !reflect.DeepEqual(warm.Edges, want.Edges) {
-		t.Fatal("EdgeBacklogs diverges across cache states")
-	}
-	if s := c.Stats(); s.Hits == 0 {
-		t.Fatalf("warm EdgeBacklogs pass recorded no cache hits: %+v", s)
+	if unstable == 0 {
+		t.Fatal("no over-subscribed edge exercised the instability agreement")
 	}
 }

@@ -50,10 +50,6 @@ type Segment struct {
 // curve; use the constructors.
 type Curve struct {
 	segs []Segment
-	// id is the hash-consed identity (see memo.go): 0 means not yet
-	// interned; equal nonzero ids imply bit-identical segments. It rides
-	// along on copies so chained memoized operators skip re-encoding.
-	id uint64
 }
 
 // eps is the relative tolerance used when comparing float64 curve values.
@@ -306,18 +302,8 @@ func (c Curve) slopeAt(x float64) float64 {
 }
 
 // Add returns the pointwise sum a + b (aggregate arrival curve of
-// multiplexed flows). Memoized on the operands' hash-consed identities.
+// multiplexed flows).
 func (c Curve) Add(d Curve) Curve {
-	if memoEnabled.Load() {
-		if r, _, ok := memoCurve(opAdd, &c, &d, 0); ok {
-			return r
-		}
-		return storeCurve(opAdd, &c, &d, 0, addRaw(c, d), false)
-	}
-	return addRaw(c, d)
-}
-
-func addRaw(c, d Curve) Curve {
 	return pointwise(c, d, func(x, ya, sa, yb, sb float64) Segment {
 		return Segment{x, ya + yb, sa + sb}
 	})
@@ -423,28 +409,11 @@ func extremal(a, b Curve, takeMin bool) Curve {
 }
 
 // Min returns the pointwise minimum of the two curves. For concave arrival
-// curves this equals their min-plus convolution (see Convolve). Memoized
-// on the operands' hash-consed identities.
-func (c Curve) Min(d Curve) Curve {
-	if memoEnabled.Load() {
-		if r, _, ok := memoCurve(opMin, &c, &d, 0); ok {
-			return r
-		}
-		return storeCurve(opMin, &c, &d, 0, extremal(c, d, true), false)
-	}
-	return extremal(c, d, true)
-}
+// curves this equals their min-plus convolution (see Convolve).
+func (c Curve) Min(d Curve) Curve { return extremal(c, d, true) }
 
-// Max returns the pointwise maximum of the two curves. Memoized like Min.
-func (c Curve) Max(d Curve) Curve {
-	if memoEnabled.Load() {
-		if r, _, ok := memoCurve(opMax, &c, &d, 0); ok {
-			return r
-		}
-		return storeCurve(opMax, &c, &d, 0, extremal(c, d, false), false)
-	}
-	return extremal(c, d, false)
-}
+// Max returns the pointwise maximum of the two curves.
+func (c Curve) Max(d Curve) Curve { return extremal(c, d, false) }
 
 // PlusPart returns max(c, 0) — the (·)⁺ clipping used when subtracting
 // interference from a service curve.

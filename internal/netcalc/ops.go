@@ -25,22 +25,10 @@ var ErrUnbounded = errors.New("netcalc: unstable system, bound is infinite")
 //
 // Mixed shapes panic: they never arise in the model, and silently guessing
 // would produce invalid bounds.
-//
-// Memoized on the operands' hash-consed identities (see memo.go).
 func Convolve(f, g Curve) Curve {
-	if memoEnabled.Load() {
-		if r, _, ok := memoCurve(opConvolve, &f, &g, 0); ok {
-			return r
-		}
-		return storeCurve(opConvolve, &f, &g, 0, convolveRaw(f, g), false)
-	}
-	return convolveRaw(f, g)
-}
-
-func convolveRaw(f, g Curve) Curve {
 	switch {
 	case f.IsConcave() && g.IsConcave():
-		return extremal(f, g, true)
+		return f.Min(g)
 	case f.IsConvex() && g.IsConvex():
 		return convolveConvex(f, g)
 	default:
@@ -96,23 +84,6 @@ func HorizontalDeviation(alpha, beta Curve) (float64, error) {
 	if !beta.IsConvex() {
 		panic(fmt.Sprintf("netcalc: HorizontalDeviation needs convex β (got %v)", beta))
 	}
-	if memoEnabled.Load() {
-		if v, ok := memoScalar(opHDev, &alpha, &beta); ok {
-			if v.unbounded {
-				return 0, ErrUnbounded
-			}
-			return v.v, nil
-		}
-		d, err := hdevRaw(alpha, beta)
-		storeScalar(opHDev, &alpha, &beta, scalarVal{v: d, unbounded: err != nil})
-		return d, err
-	}
-	return hdevRaw(alpha, beta)
-}
-
-// hdevRaw is the uncached horizontal-deviation computation. Its only
-// error is ErrUnbounded, which is what lets the memo store a bool.
-func hdevRaw(alpha, beta Curve) (float64, error) {
 	ra, rb := alpha.LongRunSlope(), beta.LongRunSlope()
 	if ra > rb+eps {
 		return 0, ErrUnbounded
@@ -213,23 +184,7 @@ func inverseOn(c Curve, y float64) (float64, bool) {
 // VerticalDeviation returns v(α, β) = sup_{t≥0} (α(t) − β(t)), the worst-case
 // backlog of α-constrained traffic in a node with service β — the buffer
 // size needed so that "messages can[not] be lost if buffers overflow".
-// Memoized on the operands' hash-consed identities.
 func VerticalDeviation(alpha, beta Curve) (float64, error) {
-	if memoEnabled.Load() {
-		if v, ok := memoScalar(opVDev, &alpha, &beta); ok {
-			if v.unbounded {
-				return 0, ErrUnbounded
-			}
-			return v.v, nil
-		}
-		d, err := vdevRaw(alpha, beta)
-		storeScalar(opVDev, &alpha, &beta, scalarVal{v: d, unbounded: err != nil})
-		return d, err
-	}
-	return vdevRaw(alpha, beta)
-}
-
-func vdevRaw(alpha, beta Curve) (float64, error) {
 	ra, rb := alpha.LongRunSlope(), beta.LongRunSlope()
 	if ra > rb+eps {
 		return 0, ErrUnbounded
@@ -261,8 +216,6 @@ func vdevRaw(alpha, beta Curve) (float64, error) {
 //
 // α must be concave, β convex, and the system stable; otherwise
 // ErrUnbounded is returned.
-//
-// Memoized on the operands' hash-consed identities.
 func Deconvolve(alpha, beta Curve) (Curve, error) {
 	if !alpha.IsConcave() {
 		panic(fmt.Sprintf("netcalc: Deconvolve needs concave α (got %v)", alpha))
@@ -270,21 +223,6 @@ func Deconvolve(alpha, beta Curve) (Curve, error) {
 	if !beta.IsConvex() {
 		panic(fmt.Sprintf("netcalc: Deconvolve needs convex β (got %v)", beta))
 	}
-	if memoEnabled.Load() {
-		if r, unbounded, ok := memoCurve(opDeconvolve, &alpha, &beta, 0); ok {
-			if unbounded {
-				return Curve{}, ErrUnbounded
-			}
-			return r, nil
-		}
-		r, err := deconvolveRaw(alpha, beta)
-		r = storeCurve(opDeconvolve, &alpha, &beta, 0, r, err != nil)
-		return r, err
-	}
-	return deconvolveRaw(alpha, beta)
-}
-
-func deconvolveRaw(alpha, beta Curve) (Curve, error) {
 	if alpha.LongRunSlope() > beta.LongRunSlope()+eps {
 		return Curve{}, ErrUnbounded
 	}
@@ -357,9 +295,6 @@ func OutputArrival(alpha, beta Curve) (Curve, error) { return Deconvolve(alpha, 
 // the paper's max_{j∈⋃_{q>p}S_q} b_j term).
 //
 // β must be convex and α_hp concave, so the result is convex.
-//
-// Memoized on the operands' hash-consed identities plus the raw bits of
-// the blocking term.
 func ResidualStrictPriority(beta, higher Curve, blockBits float64) Curve {
 	if !beta.IsConvex() {
 		panic(fmt.Sprintf("netcalc: residual needs convex β (got %v)", beta))
@@ -370,17 +305,6 @@ func ResidualStrictPriority(beta, higher Curve, blockBits float64) Curve {
 	if blockBits < 0 {
 		panic("netcalc: negative blocking term")
 	}
-	if memoEnabled.Load() {
-		x := math.Float64bits(blockBits)
-		if r, _, ok := memoCurve(opResidual, &beta, &higher, x); ok {
-			return r
-		}
-		return storeCurve(opResidual, &beta, &higher, x, residualRaw(beta, higher, blockBits), false)
-	}
-	return residualRaw(beta, higher, blockBits)
-}
-
-func residualRaw(beta, higher Curve, blockBits float64) Curve {
 	return beta.Sub(higher).SubConst(blockBits).PlusPart()
 }
 

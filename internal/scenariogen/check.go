@@ -4,21 +4,19 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"reflect"
-	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
-	"repro/internal/netcalc"
 	"repro/internal/selftest"
 	"repro/internal/topology"
 )
 
 // Verdict is the soundness record of one checked scenario. Violations is
 // the invariant ledger: an empty list means the scenario survived every
-// oracle — canonical round-trip, latency bounds, backlog bounds, counter
-// conservation, and (when requested and eligible) byte-identity with the
-// reference simulator.
+// oracle — canonical round-trip, latency bounds, backlog bounds, the
+// closed-form backlog against its netcalc pricing, counter conservation,
+// and (when requested and eligible) byte-identity with the reference
+// simulator.
 type Verdict struct {
 	// Name and Hash identify the scenario (core.CanonicalConfigHash).
 	Name string
@@ -54,7 +52,8 @@ func (v *Verdict) violate(format string, args ...any) {
 // form, the analysis must either bound it or flag it unstable, the
 // simulation must run panic-free, every observed latency must respect
 // its bound (the loss-aware bound on lossy redundant networks), every
-// observed queue high-water mark must respect its backlog bound, and the
+// observed queue high-water mark must respect its backlog bound, every
+// closed-form backlog bound must equal its netcalc pricing, and the
 // redundancy counters must conserve copies. A returned error means the
 // scenario could not be exercised at all (it does not bind); a Verdict
 // with Violations means an invariant broke — the fuzzer's actual prey.
@@ -114,7 +113,7 @@ func check(cfg *topology.Config, oracle bool) (*Verdict, error) {
 		return nil, fmt.Errorf("scenariogen: backlogs: %w", err)
 	}
 
-	verifyCacheEquivalence(v, s, bounds, backs)
+	verifyBacklogOracle(v, s, backs)
 
 	sim, err := s.Simulate()
 	if err != nil {
@@ -174,60 +173,28 @@ func check(cfg *topology.Config, oracle bool) (*Verdict, error) {
 	return v, nil
 }
 
-// equivMu serializes the global memo toggles: concurrent equivalence
-// checks flipping them independently could restore a stale setting.
-var equivMu sync.Mutex
-
-// verifyCacheEquivalence recomputes the scenario's bounds and backlogs
-// with the netcalc curve memo and the analysis cache disabled, and
-// verdicts any divergence from the memoized results computed by check —
-// the byte-identity contract of both memoization layers, exercised on
-// every scenario of the 1000-seed sweep. bounds is nil when the memoized
-// analysis flagged the scenario unstable (v.Unstable); the uncached
-// analysis must then agree on instability.
-func verifyCacheEquivalence(v *Verdict, s *core.Scenario, bounds *analysis.Result, backs *core.NetworkBacklogs) {
-	equivMu.Lock()
-	defer equivMu.Unlock()
-	prevMemo := netcalc.SetMemoEnabled(false)
-	prevCache := analysis.SetCacheEnabled(false)
-	defer func() {
-		netcalc.SetMemoEnabled(prevMemo)
-		analysis.SetCacheEnabled(prevCache)
-	}()
-
-	rawBounds, err := s.Analyze(s.Sim.Approach)
-	switch {
-	case errors.Is(err, analysis.ErrUnstable):
-		if !v.Unstable {
-			v.violate("memo equivalence: uncached analysis unstable, memoized analysis was not")
-		}
-	case err != nil:
-		v.violate("memo equivalence: uncached analysis failed: %v", err)
-	default:
-		switch {
-		case v.Unstable:
-			v.violate("memo equivalence: memoized analysis unstable, uncached analysis was not")
-		case !reflect.DeepEqual(bounds, rawBounds):
-			v.violate("memo equivalence: bounds diverge between memoized and uncached analysis")
-		}
-	}
-
-	rawBacks, err := s.Backlogs()
-	if err != nil {
-		v.violate("memo equivalence: uncached backlogs failed: %v", err)
-		return
-	}
-	if len(rawBacks.Planes) != len(backs.Planes) {
-		v.violate("memo equivalence: backlog plane counts diverge: %d != %d", len(backs.Planes), len(rawBacks.Planes))
-		return
-	}
+// verifyBacklogOracle re-prices every edge of every plane through the
+// generic network calculus (analysis.EdgeBacklogsNC) and verdicts each
+// edge whose closed-form bound Σbᵢ + Σrᵢ·t_techno differs from the
+// netcalc vertical deviation in value or in instability — the
+// self-check of the closed form on every generated scenario.
+func verifyBacklogOracle(v *Verdict, s *core.Scenario, backs *core.NetworkBacklogs) {
+	cfg := s.Analysis()
 	for p, plane := range backs.Planes {
-		raw := rawBacks.Planes[p]
-		// Compare Cfg and Edges, not the whole struct: EdgeBacklogResult
-		// carries a lazily built lookup index that depends on ByKey call
-		// history, not on the bounds.
-		if plane.Cfg != raw.Cfg || !reflect.DeepEqual(plane.Edges, raw.Edges) {
-			v.violate("memo equivalence: plane %d backlog bounds diverge between memoized and uncached analysis", p)
+		nc, err := analysis.EdgeBacklogsNC(s.Set, cfg, s.Net.PlaneTree(p, cfg.LinkRate))
+		if err != nil {
+			v.violate("backlog oracle: plane %d: netcalc pricing failed: %v", p, err)
+			continue
+		}
+		if len(nc.Edges) != len(plane.Edges) {
+			v.violate("backlog oracle: plane %d: %d edges, netcalc priced %d", p, len(plane.Edges), len(nc.Edges))
+			continue
+		}
+		for i, e := range plane.Edges {
+			if o := nc.Edges[i]; e.Bound != o.Bound || e.Unstable != o.Unstable {
+				v.violate("backlog oracle: plane %d edge %s: closed form %d bits (unstable %t), netcalc %d bits (unstable %t)",
+					p, e.Key(), e.Bound.Bits(), e.Unstable, o.Bound.Bits(), o.Unstable)
+			}
 		}
 	}
 }

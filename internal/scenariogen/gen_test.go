@@ -69,7 +69,8 @@ func TestGeneratedScenariosLoad(t *testing.T) {
 // TestFuzzSoundness is the tentpole harness: a seeded sweep of generated
 // scenarios — random architectures × planes × workloads × windows × loss
 // — each checked against every invariant Check enforces (latency bounds,
-// backlog bounds, canonical round-trip, copy conservation), with every
+// backlog bounds, the closed-form backlog against netcalc, canonical
+// round-trip, copy conservation), with every
 // eighth scenario additionally held byte-for-byte to the reference
 // oracle. Any failure is shrunk to a minimal reproducing JSON and dumped
 // to the log for replay with `rtether validate -config -`. The sweep
