@@ -205,23 +205,39 @@ func TestCmdBacklogGroupedPerSwitch(t *testing.T) {
 const goldenBacklogPath = "testdata/golden_backlog_dual_hetero.txt"
 
 func TestCmdBacklogGolden(t *testing.T) {
-	got := capture(t, cmdBacklog, "-config", heteroFixture)
+	checkGolden(t, goldenBacklogPath, capture(t, cmdBacklog, "-config", heteroFixture))
+}
+
+// goldenTwoSwitchPath pins the default `rtether twoswitch` report — the
+// cascaded two-switch bounds and simulated maxima under both approaches —
+// byte-for-byte. Regenerate with REGEN_GOLDEN=1 go test ./cmd/rtether
+// -run TestCmdTwoSwitchGolden, only when the report intentionally changes.
+const goldenTwoSwitchPath = "testdata/golden_twoswitch.txt"
+
+func TestCmdTwoSwitchGolden(t *testing.T) {
+	checkGolden(t, goldenTwoSwitchPath, capture(t, cmdTwoSwitch))
+}
+
+// checkGolden compares a command's output with a committed fixture, or
+// rewrites the fixture when REGEN_GOLDEN is set.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
 	if os.Getenv("REGEN_GOLDEN") != "" {
-		if err := os.MkdirAll(filepath.Dir(goldenBacklogPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenBacklogPath, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("regenerated %s", goldenBacklogPath)
+		t.Logf("regenerated %s", path)
 		return
 	}
-	want, err := os.ReadFile(goldenBacklogPath)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("fixture missing (run with REGEN_GOLDEN=1): %v", err)
 	}
 	if got != string(want) {
-		t.Errorf("backlog table drifted from the fixture:\nwant:\n%s\ngot:\n%s", want, got)
+		t.Errorf("output drifted from %s:\nwant:\n%s\ngot:\n%s", path, want, got)
 	}
 }
 

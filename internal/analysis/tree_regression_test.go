@@ -205,11 +205,28 @@ func chainTree(set *traffic.Set) *Tree {
 	return t
 }
 
+// twoSwitchTree splits the set's stations over two switches joined by one
+// trunk: the mission computer, displays and their feeders front (0),
+// everything else aft (1) — the front/back fuselage split.
+func twoSwitchTree(set *traffic.Set) *Tree {
+	t := &Tree{Switches: 2, Links: [][2]int{{0, 1}}, StationSwitch: map[string]int{}}
+	for _, s := range set.Stations() {
+		switch s {
+		case traffic.StationMC, traffic.StationDisplay, traffic.StationNav, traffic.StationADC:
+			t.StationSwitch[s] = 0
+		default:
+			t.StationSwitch[s] = 1
+		}
+	}
+	return t
+}
+
 // TestTreeEndToEndMatchesReference pins the per-class-sum refactor and
 // the trunk-stage bugfix: one table per multiplexer, its delays reused
 // for inflation, must leave every PathBound byte-identical to the
 // historical per-flow, double-evaluating formulation, under both
-// disciplines and with heterogeneous trunk rates — and an unknown
+// disciplines, on the one-switch star, the two-switch cascade and
+// chains with and without heterogeneous trunk rates — and an unknown
 // discipline must fail with the reference's error.
 func TestTreeEndToEndMatchesReference(t *testing.T) {
 	set := traffic.RealCase()
@@ -219,7 +236,7 @@ func TestTreeEndToEndMatchesReference(t *testing.T) {
 	hetero.TrunkRates = []simtime.Rate{100 * simtime.Mbps, 0, 25 * simtime.Mbps}
 	hetero.TrunkProps = []simtime.Duration{simtime.Microsecond, 0, 3 * simtime.Microsecond}
 
-	for _, tree := range []*Tree{homo, hetero} {
+	for _, tree := range []*Tree{SingleSwitchTree(set.Stations()), twoSwitchTree(set), homo, hetero} {
 		for _, approach := range []Approach{FCFS, Priority, Approach(7)} {
 			want, wantErr := treeEndToEndReference(set, approach, cfg, tree)
 			got, err := TreeEndToEnd(set, approach, cfg, tree)
@@ -387,8 +404,9 @@ func TestMuxDelaysMatchesMuxBound(t *testing.T) {
 
 // TestEdgeBacklogsMatchesNetcalcOracle asserts the closed-form edge
 // backlogs equal the netcalc-priced ones edge for edge — bound, flows and
-// instability — on homogeneous and heterogeneous chains, including one
-// whose slow trunks and access links over-subscribe some edges.
+// instability — on the star, a hub-and-leaves tree, and homogeneous and
+// heterogeneous chains, including one whose slow trunks and access links
+// over-subscribe some edges.
 func TestEdgeBacklogsMatchesNetcalcOracle(t *testing.T) {
 	set := traffic.RealCase()
 	cfg := DefaultConfig()
@@ -398,7 +416,7 @@ func TestEdgeBacklogsMatchesNetcalcOracle(t *testing.T) {
 	slow.TrunkRates = []simtime.Rate{simtime.Mbps, simtime.BitPerSecond, 0}
 	slow.StationRates = map[string]simtime.Rate{set.Stations()[0]: simtime.BitPerSecond}
 	unstable := 0
-	for _, tree := range []*Tree{chainTree(set), hetero, slow} {
+	for _, tree := range []*Tree{SingleSwitchTree(set.Stations()), fourSwitchTree(set.Stations()), chainTree(set), hetero, slow} {
 		want, err := EdgeBacklogsNC(set, cfg, tree)
 		if err != nil {
 			t.Fatal(err)

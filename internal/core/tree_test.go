@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/analysis"
@@ -72,27 +74,62 @@ func TestTreeSwitchPath(t *testing.T) {
 	}
 }
 
+// analysisVariants are the catalog workloads and analysis configurations
+// over which two analyses of the same path are compared result for
+// result: the paper's parameters, a faster and an untagged link, zero
+// relaying latency, and link rates low enough to over-subscribe a
+// multiplexer, so error paths are compared too.
+func analysisVariants() (sets []*traffic.Set, cfgs []analysis.Config) {
+	sets = []*traffic.Set{traffic.RealCase(), traffic.RealCaseWith(0), traffic.RealCaseWith(24)}
+	base := analysis.DefaultConfig()
+	cfgs = []analysis.Config{base}
+	for _, rate := range []simtime.Rate{100 * simtime.Mbps, 2 * simtime.Mbps, 500 * simtime.Kbps} {
+		c := base
+		c.LinkRate = rate
+		cfgs = append(cfgs, c)
+	}
+	untagged := base
+	untagged.Tagged = false
+	noRelay := base
+	noRelay.TTechno = 0
+	return sets, append(cfgs, untagged, noRelay)
+}
+
+// sameAnalysis reports where two analyses of one workload differ: in
+// error text, or anywhere in the Result (every PathBound field, the
+// class maxima and the violation count).
+func sameAnalysis(a *analysis.Result, errA error, b *analysis.Result, errB error) string {
+	if fmt.Sprint(errA) != fmt.Sprint(errB) {
+		return fmt.Sprintf("error %v vs %v", errA, errB)
+	}
+	if !reflect.DeepEqual(a, b) {
+		return "results differ"
+	}
+	return ""
+}
+
 func TestSingleSwitchTreeMatchesEndToEnd(t *testing.T) {
 	// On the degenerate one-switch tree, TreeEndToEnd must coincide with
-	// the dedicated EndToEnd analysis.
-	set := traffic.RealCase()
-	cfg := analysis.DefaultConfig()
-	tree := analysis.SingleSwitchTree(set.Stations())
-	for _, approach := range []analysis.Approach{analysis.FCFS, analysis.Priority} {
-		a, err := analysis.TreeEndToEnd(set, approach, cfg, tree)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := analysis.EndToEnd(set, approach, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range a.Flows {
-			if a.Flows[i].EndToEnd != b.Flows[i].EndToEnd {
-				t.Errorf("%v %s: tree %v vs end-to-end %v", approach,
-					a.Flows[i].Spec.Msg.Name, a.Flows[i].EndToEnd, b.Flows[i].EndToEnd)
+	// the dedicated EndToEnd analysis in every field and every error.
+	sets, cfgs := analysisVariants()
+	failed := 0
+	for _, set := range sets {
+		tree := analysis.SingleSwitchTree(set.Stations())
+		for _, cfg := range cfgs {
+			for _, approach := range []analysis.Approach{analysis.FCFS, analysis.Priority} {
+				a, errA := analysis.TreeEndToEnd(set, approach, cfg, tree)
+				b, errB := analysis.EndToEnd(set, approach, cfg)
+				if errA != nil {
+					failed++
+				}
+				if d := sameAnalysis(a, errA, b, errB); d != "" {
+					t.Errorf("%v, %d connections, %+v: tree vs end-to-end: %s", approach, len(set.Messages), cfg, d)
+				}
 			}
 		}
+	}
+	if failed == 0 {
+		t.Error("no variant exercised the error path")
 	}
 }
 
@@ -158,26 +195,29 @@ func TestThreeSwitchTwoHopFloor(t *testing.T) {
 
 func TestTreeMatchesTwoSwitchAnalysis(t *testing.T) {
 	// The dedicated two-switch analysis and the general tree on the same
-	// partition must agree exactly.
-	set := traffic.RealCase()
-	cfg := analysis.DefaultConfig()
-	tree := &analysis.Tree{Switches: 2, Links: [][2]int{{0, 1}}, StationSwitch: map[string]int{}}
-	for _, st := range set.Stations() {
-		tree.StationSwitch[st] = analysis.SplitByName(st)
-	}
-	a, err := analysis.TreeEndToEnd(set, analysis.Priority, cfg, tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := analysis.TwoSwitchEndToEnd(set, analysis.Priority, cfg, analysis.SplitByName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Flows {
-		if a.Flows[i].EndToEnd != b.Flows[i].EndToEnd {
-			t.Errorf("%s: tree %v vs two-switch %v", a.Flows[i].Spec.Msg.Name,
-				a.Flows[i].EndToEnd, b.Flows[i].EndToEnd)
+	// partition must agree exactly, in every field and every error.
+	sets, cfgs := analysisVariants()
+	failed := 0
+	for _, set := range sets {
+		tree := &analysis.Tree{Switches: 2, Links: [][2]int{{0, 1}}, StationSwitch: map[string]int{}}
+		for _, st := range set.Stations() {
+			tree.StationSwitch[st] = analysis.SplitByName(st)
 		}
+		for _, cfg := range cfgs {
+			for _, approach := range []analysis.Approach{analysis.FCFS, analysis.Priority} {
+				a, errA := analysis.TreeEndToEnd(set, approach, cfg, tree)
+				b, errB := analysis.TwoSwitchEndToEnd(set, approach, cfg, analysis.SplitByName)
+				if errA != nil {
+					failed++
+				}
+				if d := sameAnalysis(a, errA, b, errB); d != "" {
+					t.Errorf("%v, %d connections, %+v: tree vs two-switch: %s", approach, len(set.Messages), cfg, d)
+				}
+			}
+		}
+	}
+	if failed == 0 {
+		t.Error("no variant exercised the error path")
 	}
 }
 
