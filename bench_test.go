@@ -398,20 +398,22 @@ func BenchmarkSchedulerComparison(b *testing.B) {
 // ---------------------------------------------------------------------------
 
 // BenchmarkTwoSwitch reports the urgent bound across the trunk and the
-// worst observed latency from the two-switch simulation.
+// worst observed latency from the two-switch simulation, on a scenario
+// over the cascade split by fuselage section.
 func BenchmarkTwoSwitch(b *testing.B) {
 	set := RealCase()
-	simCfg := DefaultSimConfig(PriorityHandling)
-	simCfg.Horizon = 500 * simtime.Millisecond
+	s := &Scenario{Name: "twoswitch", Set: set, Net: topology.Cascade(set.Stations(), topology.FuselageSplit),
+		Sim: DefaultSimConfig(PriorityHandling)}
+	s.Sim.Horizon = 500 * simtime.Millisecond
 	var bounds *Result
 	var sim *SimResult
 	var err error
 	for i := 0; i < b.N; i++ {
-		bounds, err = analysis.TwoSwitchEndToEnd(set, analysis.Priority, simCfg.AnalysisConfig(), analysis.SplitByName)
+		bounds, err = s.Analyze(PriorityHandling)
 		if err != nil {
 			b.Fatal(err)
 		}
-		sim, err = core.SimulateTwoSwitch(set, simCfg, analysis.SplitByName)
+		sim, err = s.Simulate()
 		if err != nil {
 			b.Fatal(err)
 		}

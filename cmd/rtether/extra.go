@@ -10,6 +10,7 @@ import (
 	"repro/internal/render"
 	"repro/internal/report"
 	"repro/internal/simtime"
+	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
@@ -52,14 +53,13 @@ func cmdCapacity(args []string) error {
 // scenario's architecture: every directed edge owns one queue — station
 // uplink multiplexers, trunk output ports in both directions, destination
 // output ports — and every one gets a backlog bound (core.EdgeBacklogs).
-// Rows group under the switch owning the queue, destination ports keep
-// their historical pricing (byte-identical to the deprecated
-// analysis.PortBacklogs), and the per-switch totals now cover trunk ports
-// too, so they are the switch's whole memory. Station uplink queues live
-// in the stations and get their own section. With -dimension the command
-// instead emits the scenario JSON with the derived per-port capacities in
-// the sim section (queue_capacities_bytes), ready to pipe into any other
-// subcommand: rtether backlog -dimension | rtether validate -config -.
+// Rows group under the switch owning the queue, and the per-switch totals
+// cover destination and trunk ports alike, so they are the switch's whole
+// memory. Station uplink queues live in the stations and get their own
+// section. With -dimension the command instead emits the scenario JSON
+// with the derived per-port capacities in the sim section
+// (queue_capacities_bytes), ready to pipe into any other subcommand:
+// rtether backlog -dimension | rtether validate -config -.
 func cmdBacklog(args []string) error {
 	fs := newFlagSet("backlog")
 	config := fs.String("config", "", "scenario JSON (path or - for stdin)")
@@ -171,7 +171,10 @@ func cmdSchedulers(args []string) error {
 	return err
 }
 
-// cmdTwoSwitch analyzes and simulates the cascaded two-switch topology.
+// cmdTwoSwitch analyzes and simulates the scenario's workload on the
+// cascaded two-switch topology, stations split front/back by fuselage
+// section (topology.FuselageSplit). The scenario's link rate and t_techno
+// apply; its network and sim sections do not.
 func cmdTwoSwitch(args []string) error {
 	fs := newFlagSet("twoswitch")
 	config := fs.String("config", "", "scenario JSON (path or - for stdin)")
@@ -187,16 +190,18 @@ func cmdTwoSwitch(args []string) error {
 	if err != nil {
 		return err
 	}
+	net := topology.Cascade(set.Stations(), topology.FuselageSplit)
 	fmt.Fprintln(stdout, "cascaded two-switch architecture (front/back fuselage split)")
 	for _, approach := range []analysis.Approach{analysis.FCFS, analysis.Priority} {
-		bounds, err := analysis.TwoSwitchEndToEnd(set, approach, scen.AnalysisConfig(), analysis.SplitByName)
-		if err != nil {
-			return err
-		}
 		cfg := core.DefaultSimConfig(approach)
 		cfg.LinkRate = scen.AnalysisConfig().LinkRate
 		cfg.TTechno = scen.AnalysisConfig().TTechno
-		sim, err := core.SimulateTwoSwitch(set, cfg, analysis.SplitByName)
+		cascade := &core.Scenario{Name: "twoswitch", Set: set, Net: net, Sim: cfg}
+		bounds, err := cascade.Analyze(approach)
+		if err != nil {
+			return err
+		}
+		sim, err := cascade.Simulate()
 		if err != nil {
 			return err
 		}
@@ -205,7 +210,7 @@ func cmdTwoSwitch(args []string) error {
 			bounds.ClassWorst[0], sim.ClassWorst[0])
 		tbl := report.NewTable("connection", "class", "crosses trunk", "bound", "observed max", "ok")
 		for _, pb := range bounds.Flows {
-			crosses := analysis.SplitByName(pb.Spec.Msg.Source) != analysis.SplitByName(pb.Spec.Msg.Dest)
+			crosses := net.StationSwitch[pb.Spec.Msg.Source] != net.StationSwitch[pb.Spec.Msg.Dest]
 			if pb.Spec.Msg.Priority != 0 && !crosses {
 				continue // keep the table focused: urgent + trunk crossers
 			}

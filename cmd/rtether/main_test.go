@@ -260,8 +260,8 @@ func TestCmdBacklogDimension(t *testing.T) {
 	if _, ok := caps["sw1->radar"]; ok {
 		t.Error("idle edge sw1->radar received a capacity (0 = unbounded, not a budget)")
 	}
-	// The destination-port capacity is the (deprecated) PortBacklogs
-	// number the fixture's golden table prints.
+	// The destination-port capacity is the backlog bound the fixture's
+	// golden table prints for that port.
 	if caps["sw0->mc"] != 290 {
 		t.Errorf("sw0->mc capacity = %d B, want 290 B", caps["sw0->mc"])
 	}

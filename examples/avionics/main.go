@@ -85,15 +85,15 @@ func main() {
 
 	// Buffer dimensioning: the backlog bounds that prevent the loss mode
 	// the paper warns about ("messages can be lost if buffers overflow").
-	backlogs, err := analysis.PortBacklogs(set, cfg)
+	backlogs, err := analysis.EdgeBacklogs(set, cfg, analysis.SingleSwitchTree(set.Stations()))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nswitch buffer dimensioning (per output port):\n")
 	tbl := report.NewTable("port", "backlog bound")
-	for _, st := range set.Stations() {
-		if b, ok := backlogs[st]; ok {
-			tbl.AddRow(st, fmt.Sprintf("%d B", b.ByteCount()))
+	for _, e := range backlogs.Edges {
+		if e.Kind == analysis.EdgeDest && len(e.Flows) > 0 {
+			tbl.AddRow(e.To, fmt.Sprintf("%d B", e.Bound.ByteCount()))
 		}
 	}
 	if _, err := tbl.WriteTo(os.Stdout); err != nil {

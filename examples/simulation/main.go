@@ -27,7 +27,7 @@ func main() {
 
 	for _, approach := range []analysis.Approach{analysis.FCFS, analysis.Priority} {
 		cfg := core.DefaultSimConfig(approach)
-		v, err := core.RunValidation(set, cfg, core.Serial(1))
+		v, err := core.StarScenario(set, cfg).Validate(core.Serial(1))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -23,14 +23,14 @@ import (
 // latency in front of a station's uplink, which no relay precedes).
 //
 // The arrival curves are the flows' source token buckets (bᵢ, rᵢ) — the
-// same single-hop pricing convention as the historical PortBacklogs, which
-// the destination edges therefore reproduce to the byte. For token-bucket
-// aggregates the vertical deviation against β_{C,T} is Σbᵢ + (Σrᵢ)·T
-// whenever the edge is stable (Σrᵢ ≤ C), so the bound is independent of
-// the link rate itself; per-edge rate overrides and per-plane rate scales
-// still matter, because they decide stability — an over-subscribed edge
-// has no finite backlog bound and is reported Unstable instead of
-// silently priced.
+// paper's single-hop pricing convention, so a destination edge's bound
+// depends only on the connections converging on that port, whatever the
+// architecture. For token-bucket aggregates the vertical deviation
+// against β_{C,T} is Σbᵢ + (Σrᵢ)·T whenever the edge is stable
+// (Σrᵢ ≤ C), so the bound is independent of the link rate itself;
+// per-edge rate overrides and per-plane rate scales still matter, because
+// they decide stability — an over-subscribed edge has no finite backlog
+// bound and is reported Unstable instead of silently priced.
 
 // EdgeKind classifies a directed edge by the queue it owns.
 type EdgeKind int
@@ -144,9 +144,9 @@ func swName(id int) string { return fmt.Sprintf("sw%d", id) }
 // EdgeBacklogs bounds the backlog of every directed edge of the tree for
 // the workload: every station uplink, every trunk in both directions,
 // every destination port. Per-trunk and per-station rate overrides are
-// honored (they decide per-edge stability), and the destination-edge
-// bounds coincide exactly with the historical PortBacklogs. Each edge is
-// priced by the closed form Σbᵢ + Σrᵢ·t_techno over its members' sums.
+// honored (they decide per-edge stability); the destination edges are the
+// switch's per-port buffer dimensioning table. Each edge is priced by the
+// closed form Σbᵢ + Σrᵢ·t_techno over its members' sums.
 func EdgeBacklogs(set *traffic.Set, cfg Config, tree *Tree) (*EdgeBacklogResult, error) {
 	return edgeBacklogs(set, cfg, tree, nil)
 }
@@ -247,8 +247,8 @@ func edgeBacklogs(set *traffic.Set, cfg Config, tree *Tree, oracle func([]FlowSp
 			}
 		}
 	}
-	// Destination ports — the historical PortBacklogs pricing, per
-	// station, at the station's own access-link rate.
+	// Destination ports, per station, at the station's own access-link
+	// rate.
 	for _, st := range stations {
 		home := tree.StationSwitch[st]
 		e := EdgeBacklog{Kind: EdgeDest, From: swName(home), To: st, Switch: home, Link: -1}

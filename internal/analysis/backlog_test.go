@@ -22,48 +22,6 @@ func fourSwitchTree(stations []string) *Tree {
 	return t
 }
 
-// TestEdgeBacklogsMatchesPortBacklogs is the deprecation contract: on the
-// existing catalog the destination-edge rows of EdgeBacklogs must equal
-// the historical PortBacklogs to the byte — on the paper's star AND on a
-// multi-switch tree, since the destination pricing is per-port either way.
-func TestEdgeBacklogsMatchesPortBacklogs(t *testing.T) {
-	set := traffic.RealCase()
-	cfg := DefaultConfig()
-	want, err := PortBacklogs(set, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, tree := range map[string]*Tree{
-		"star": SingleSwitchTree(set.Stations()),
-		"tree": fourSwitchTree(set.Stations()),
-	} {
-		res, err := EdgeBacklogs(set, cfg, tree)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		got := map[string]simtime.Size{}
-		for _, e := range res.Edges {
-			if e.Kind != EdgeDest {
-				continue
-			}
-			if e.Unstable {
-				t.Errorf("%s: destination edge %s unstable on a stable catalog", name, e.Key())
-			}
-			if len(e.Flows) > 0 {
-				got[e.To] = e.Bound
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d destination bounds, PortBacklogs has %d", name, len(got), len(want))
-		}
-		for dest, w := range want {
-			if got[dest] != w {
-				t.Errorf("%s: dest %s: EdgeBacklogs %v != PortBacklogs %v", name, dest, got[dest], w)
-			}
-		}
-	}
-}
-
 // TestEdgeBacklogsCoversEveryDirectedEdge: the result enumerates every
 // station uplink, both directions of every trunk, and every destination
 // port — including edges no flow crosses (bound 0).

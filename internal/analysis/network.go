@@ -2,9 +2,7 @@ package analysis
 
 import (
 	"fmt"
-	"maps"
 	"math"
-	"slices"
 	"sort"
 
 	"repro/internal/simtime"
@@ -24,13 +22,14 @@ import (
 //     destination port, the closed-form D or D_p over the connections
 //     crossing it, t_techno added once. This is what Figure 1 plots.
 //
-//   - EndToEnd: a compositional refinement (this reproduction's extension):
-//     the source multiplexer bound is computed first; each connection's
-//     token bucket is then inflated to its output arrival curve
-//     (bᵢ' = bᵢ + rᵢ·D_src, the standard delay-jitter transformation)
-//     before the destination-port bound is computed, and the two stages
-//     are summed. It is sound for the full two-multiplexer path, strictly
-//     dominating the single-hop figure.
+//   - TreeEndToEnd (tree.go): a compositional refinement (this
+//     reproduction's extension) over any switch tree, the paper's star
+//     included. Each multiplexer on a connection's path — source uplink,
+//     trunks, destination port — is bounded in turn, and the connection's
+//     token bucket is inflated to its output arrival curve
+//     (bᵢ' = bᵢ + rᵢ·D, the standard delay-jitter transformation) before
+//     the next one. The stages are summed, so the bound is sound for the
+//     whole path and dominates the single-hop figure.
 
 // PathBound is the analysis outcome for one connection.
 type PathBound struct {
@@ -39,8 +38,9 @@ type PathBound struct {
 	// SourceDelay bounds the wait in the source station's multiplexer
 	// (zero in single-hop analysis).
 	SourceDelay simtime.Duration
-	// PortDelay bounds the wait in the switch output port, including the
-	// relaying latency t_techno.
+	// PortDelay bounds the wait in the switch output ports on the path —
+	// every trunk multiplexer and the destination port — each including
+	// the relaying latency t_techno.
 	PortDelay simtime.Duration
 	// EndToEnd is the total response-time bound.
 	EndToEnd simtime.Duration
@@ -120,58 +120,6 @@ func SingleHop(set *traffic.Set, approach Approach, cfg Config) (*Result, error)
 	return res, nil
 }
 
-// EndToEnd runs the two-stage compositional analysis: source multiplexer,
-// arrival-curve inflation, destination multiplexer.
-func EndToEnd(set *traffic.Set, approach Approach, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := set.Validate(); err != nil {
-		return nil, err
-	}
-	specs := Specs(set, cfg)
-
-	// Stage 1: source multiplexers. No relaying latency inside a station.
-	srcCfg := cfg
-	srcCfg.TTechno = 0
-	src := groupByStation(specs, sourceOf)
-	srcTables := src.tables(specs, approach, func(string) Config { return srcCfg })
-	srcDelay := make([]simtime.Duration, len(specs))
-	inflated := make([]FlowSpec, len(specs))
-	for i, f := range specs {
-		d, err := srcTables[src.of[i]].delay(f)
-		if err != nil {
-			return nil, fmt.Errorf("station %s: %w", f.Msg.Source, err)
-		}
-		srcDelay[i] = d
-		inflated[i] = inflate(f, d)
-	}
-
-	// Stage 2: destination ports see the inflated output curves.
-	dst := groupByStation(specs, destOf)
-	dstTables := dst.tables(inflated, approach, func(string) Config { return cfg })
-	res := &Result{Approach: approach, Cfg: cfg}
-	for i, f := range specs {
-		d, err := dstTables[dst.of[i]].delay(inflated[i])
-		if err != nil {
-			return nil, fmt.Errorf("port %s: %w", f.Msg.Dest, err)
-		}
-		pb := PathBound{
-			Spec:        f,
-			SourceDelay: srcDelay[i],
-			PortDelay:   d,
-			EndToEnd:    srcDelay[i] + d,
-			// The floor crosses two serializations (station uplink and
-			// switch output) plus the relaying latency.
-			Floor: 2*simtime.TransmissionTime(f.B, cfg.LinkRate) + cfg.TTechno,
-		}
-		pb.Jitter = pb.EndToEnd - pb.Floor
-		pb.Met = pb.EndToEnd <= simtime.Duration(f.Msg.Deadline)
-		res.add(pb)
-	}
-	return res, nil
-}
-
 // stationGroups assigns every flow to a per-station multiplexer (its
 // source uplink or its destination port), numbered in order of first
 // appearance: of[i] is flow i's multiplexer and stations[g] the station
@@ -242,29 +190,4 @@ func groupBy(specs []FlowSpec, key func(FlowSpec) string) map[string][]FlowSpec 
 		out[key(f)] = append(out[key(f)], f)
 	}
 	return out
-}
-
-// PortBacklogs returns the backlog bound of every destination port — the
-// buffer dimensioning table for the switch.
-//
-// Deprecated: PortBacklogs prices destination station ports only. Use
-// EdgeBacklogs, which bounds every directed edge of the architecture
-// (station uplinks and trunk output ports included) and reproduces these
-// destination-port numbers exactly (TestEdgeBacklogsMatchesPortBacklogs).
-func PortBacklogs(set *traffic.Set, cfg Config) (map[string]simtime.Size, error) {
-	if err := set.Validate(); err != nil {
-		return nil, err
-	}
-	specs := Specs(set, cfg)
-	byDest := groupBy(specs, func(f FlowSpec) string { return f.Msg.Dest })
-	out := map[string]simtime.Size{}
-	for _, dest := range slices.Sorted(maps.Keys(byDest)) {
-		port := byDest[dest]
-		b, err := BacklogBound(port, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("port %s: %w", dest, err)
-		}
-		out[dest] = b
-	}
-	return out, nil
 }

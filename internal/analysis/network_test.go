@@ -162,12 +162,13 @@ func TestPriorityClassOrderingAtBottleneck(t *testing.T) {
 
 func TestEndToEndDominatesSingleHop(t *testing.T) {
 	cfg := DefaultConfig()
+	set := traffic.RealCase()
 	for _, approach := range []Approach{FCFS, Priority} {
-		sh, err := SingleHop(traffic.RealCase(), approach, cfg)
+		sh, err := SingleHop(set, approach, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e2e, err := EndToEnd(traffic.RealCase(), approach, cfg)
+		e2e, err := TreeEndToEnd(set, approach, cfg, SingleSwitchTree(set.Stations()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +188,8 @@ func TestEndToEndDominatesSingleHop(t *testing.T) {
 func TestEndToEndPriorityStillMeetsUrgent(t *testing.T) {
 	// The refined (larger) bound still lands the urgent class below 3 ms —
 	// the paper's conclusion survives the compositional analysis.
-	res, err := EndToEnd(traffic.RealCase(), Priority, DefaultConfig())
+	set := traffic.RealCase()
+	res, err := TreeEndToEnd(set, Priority, DefaultConfig(), SingleSwitchTree(set.Stations()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,9 +255,15 @@ func TestViolatedNamesAndByName(t *testing.T) {
 
 func TestPortBacklogs(t *testing.T) {
 	set := traffic.RealCase()
-	backlogs, err := PortBacklogs(set, DefaultConfig())
+	res, err := EdgeBacklogs(set, DefaultConfig(), SingleSwitchTree(set.Stations()))
 	if err != nil {
 		t.Fatal(err)
+	}
+	backlogs := map[string]simtime.Size{}
+	for _, e := range res.Edges {
+		if e.Kind == EdgeDest && len(e.Flows) > 0 {
+			backlogs[e.To] = e.Bound
+		}
 	}
 	if len(backlogs) == 0 {
 		t.Fatal("no ports")
@@ -284,8 +292,8 @@ func TestAnalysisErrorPaths(t *testing.T) {
 	if _, err := SingleHop(set, FCFS, badCfg); err == nil {
 		t.Error("invalid config accepted by SingleHop")
 	}
-	if _, err := EndToEnd(set, FCFS, badCfg); err == nil {
-		t.Error("invalid config accepted by EndToEnd")
+	if _, err := TreeEndToEnd(set, FCFS, badCfg, SingleSwitchTree(set.Stations())); err == nil {
+		t.Error("invalid config accepted by TreeEndToEnd")
 	}
 	// Overload: 10 Mbps cannot carry the catalog at 1000× rate... emulate
 	// by shrinking the link instead.

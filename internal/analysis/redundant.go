@@ -65,7 +65,7 @@ func RedundantEndToEnd(set *traffic.Set, approach Approach, cfg Config, planes [
 	if len(bounded) == 0 {
 		return nil, fmt.Errorf("analysis: every surviving plane is over-subscribed: %w", ErrUnstable)
 	}
-	return composeFirstCopy(approach, cfg, planes, results, bounded), nil
+	return compose(approach, cfg, planes, results, bounded, earlier), nil
 }
 
 // LossyRedundantEndToEnd bounds every connection over a redundant network
@@ -92,7 +92,7 @@ func LossyRedundantEndToEnd(set *traffic.Set, approach Approach, cfg Config, pla
 	if len(bounded) < len(surviving) {
 		return nil, fmt.Errorf("analysis: a surviving plane is over-subscribed and loss may leave it the only carrier: %w", ErrUnstable)
 	}
-	return composeAnyCopy(approach, cfg, planes, results, bounded), nil
+	return compose(approach, cfg, planes, results, bounded, later), nil
 }
 
 // DegradedEndToEnd bounds every connection with any ONE surviving plane
@@ -121,7 +121,7 @@ func DegradedEndToEnd(set *traffic.Set, approach Approach, cfg Config, planes []
 		if len(rest) == 0 {
 			return nil, fmt.Errorf("analysis: failing plane %d leaves only over-subscribed planes: %w", drop, ErrUnstable)
 		}
-		r := composeFirstCopy(approach, cfg, planes, results, rest)
+		r := compose(approach, cfg, planes, results, rest, earlier)
 		if worst == nil {
 			worst = r
 			continue
@@ -167,12 +167,14 @@ func planeResults(set *traffic.Set, approach Approach, cfg Config, planes []Plan
 	return results, surviving, bounded, nil
 }
 
-// composeFirstCopy takes the per-connection minimum of phase skew plus
-// plane bound over the given planes. The winning plane contributes the
+// compose picks, per connection, the plane whose phase skew plus plane
+// bound wins under wins: earlier for the lossless first-copy minimum,
+// later for the loss-aware maximum. The picked plane contributes the
 // stage split, its phase skew folded into SourceDelay (the skew is a
 // release-side wait, so the columns still account for the total); the
-// floor is the earliest any plane's copy can physically arrive.
-func composeFirstCopy(approach Approach, cfg Config, planes []Plane, results []*Result, use []int) *Result {
+// floor is the earliest any plane's copy can physically arrive, since the
+// best case is still the fastest plane delivering untouched.
+func compose(approach Approach, cfg Config, planes []Plane, results []*Result, use []int, wins func(e2e, best simtime.Duration) bool) *Result {
 	res := &Result{Approach: approach, Cfg: cfg}
 	for i := range results[use[0]].Flows {
 		var pb PathBound
@@ -181,7 +183,7 @@ func composeFirstCopy(approach Approach, cfg Config, planes []Plane, results []*
 			f := results[p].Flows[i]
 			e2e := planes[p].PhaseSkew + f.EndToEnd
 			fl := planes[p].PhaseSkew + f.Floor
-			if k == 0 || e2e < pb.EndToEnd {
+			if k == 0 || wins(e2e, pb.EndToEnd) {
 				pb = f
 				pb.SourceDelay = planes[p].PhaseSkew + f.SourceDelay
 				pb.EndToEnd = e2e
@@ -198,33 +200,5 @@ func composeFirstCopy(approach Approach, cfg Config, planes []Plane, results []*
 	return res
 }
 
-// composeAnyCopy takes the per-connection maximum of phase skew plus
-// plane bound over the given planes — the loss-aware dual of
-// composeFirstCopy. The worst plane contributes the stage split (its
-// phase skew folded into SourceDelay); the floor stays the minimum, since
-// the best case is still the fastest plane delivering untouched.
-func composeAnyCopy(approach Approach, cfg Config, planes []Plane, results []*Result, use []int) *Result {
-	res := &Result{Approach: approach, Cfg: cfg}
-	for i := range results[use[0]].Flows {
-		var pb PathBound
-		var floor simtime.Duration
-		for k, p := range use {
-			f := results[p].Flows[i]
-			e2e := planes[p].PhaseSkew + f.EndToEnd
-			fl := planes[p].PhaseSkew + f.Floor
-			if k == 0 || e2e > pb.EndToEnd {
-				pb = f
-				pb.SourceDelay = planes[p].PhaseSkew + f.SourceDelay
-				pb.EndToEnd = e2e
-			}
-			if k == 0 || fl < floor {
-				floor = fl
-			}
-		}
-		pb.Floor = floor
-		pb.Jitter = pb.EndToEnd - pb.Floor
-		pb.Met = pb.EndToEnd <= simtime.Duration(pb.Spec.Msg.Deadline)
-		res.add(pb)
-	}
-	return res
-}
+func earlier(a, b simtime.Duration) bool { return a < b }
+func later(a, b simtime.Duration) bool   { return a > b }

@@ -10,10 +10,11 @@ import (
 	"repro/internal/traffic"
 )
 
-// This file generalizes the end-to-end analysis from one switch (EndToEnd)
-// and two (TwoSwitchEndToEnd) to an arbitrary tree of switches — the shape
-// avionics backbones take when a single switch cannot reach every
-// equipment bay. A connection crosses:
+// This file holds the one end-to-end analysis: a compositional bound over
+// an arbitrary tree of switches — the paper's one-switch star
+// (SingleSwitchTree), a cascade, or the deeper shapes avionics backbones
+// take when a single switch cannot reach every equipment bay. A
+// connection crosses:
 //
 //	source uplink → one trunk multiplexer per switch-to-switch edge on
 //	its (unique) tree path → the destination output port

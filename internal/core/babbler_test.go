@@ -42,7 +42,7 @@ func TestBabblerContainedByShapers(t *testing.T) {
 		t.Fatal("babbling traffic was never shaped — fault injection inert")
 	}
 	// Every connection except the babbler still honours its bound.
-	bounds, err := analysis.EndToEnd(set, analysis.Priority, cfg.AnalysisConfig())
+	bounds, err := StarScenario(set, cfg).Analyze(analysis.Priority)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestBabblerPrioritiesAloneDoNotSaveSameClass(t *testing.T) {
 	}
 	// But same-class victims (other P1 into the MC) blow past the bounds
 	// that held in TestBabblerContainedByShapers.
-	bounds, err := analysis.EndToEnd(set, analysis.Priority, cfg.AnalysisConfig())
+	bounds, err := StarScenario(set, cfg).Analyze(analysis.Priority)
 	if err != nil {
 		t.Fatal(err)
 	}

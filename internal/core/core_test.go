@@ -67,7 +67,7 @@ func TestSimulateDeterministic(t *testing.T) {
 func TestSimulationRespectsBounds(t *testing.T) {
 	for _, approach := range []analysis.Approach{analysis.FCFS, analysis.Priority} {
 		cfg := DefaultSimConfig(approach)
-		v, err := RunValidation(traffic.RealCase(), cfg, Serial(1))
+		v, err := StarScenario(traffic.RealCase(), cfg).Validate(Serial(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func TestSimulateRandomGaps(t *testing.T) {
 	}
 	// Under randomized (non-critical) operation the observed worst P0 must
 	// still be under the analytic bound.
-	e2e, err := analysis.EndToEnd(traffic.RealCase(), analysis.Priority, cfg.AnalysisConfig())
+	e2e, err := StarScenario(traffic.RealCase(), cfg).Analyze(analysis.Priority)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,21 +85,6 @@ func (v *Validation) AllSound() bool {
 	return true
 }
 
-// RunValidation simulates the scenario and compares every connection's
-// worst observed latency against the analytic bounds. With opts.Reps > 1
-// it becomes a Monte-Carlo experiment: the replications run on the sweep
-// engine (opts.Workers at a time, each on its own RNG substream of
-// opts.Seed — cfg.Seed is ignored), and every row aggregates the worst
-// observation, total deliveries, and the merged latency histogram across
-// all replications. Sim holds the first replication's full result.
-//
-// Deprecated: build a Scenario (core.StarScenario, or core.NewScenario
-// from a declarative config) and call its Validate method, which also
-// handles custom architectures and per-link rate overrides.
-func RunValidation(set *traffic.Set, cfg SimConfig, opts SweepOptions) (*Validation, error) {
-	return StarScenario(set, cfg).Validate(opts)
-}
-
 // RatePoint is one point of the link-rate ablation (A1): the paper's
 // observation that "having a Switched Ethernet with a higher rate is not
 // sufficient" inverted — at which rate does FCFS start meeting the urgent

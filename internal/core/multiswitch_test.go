@@ -9,66 +9,17 @@ import (
 	"repro/internal/traffic"
 )
 
-// TestDeprecatedWrappersMatchNetworkEngine makes the Deprecated: tags on
-// SimulateTwoSwitch and SimulateTree actionable: each wrapper must
-// produce byte-identical results to core.SimulateNetwork on the
-// equivalent topology.Network under a demanding configuration (BER,
-// randomized sources, histograms), so retiring the wrappers later is a
-// mechanical substitution, demonstrably not a behaviour change.
-func TestDeprecatedWrappersMatchNetworkEngine(t *testing.T) {
-	set := traffic.RealCase()
-	cfg := DefaultSimConfig(analysis.Priority)
-	cfg.Horizon = 150 * simtime.Millisecond
-	cfg.Seed = 11
-	cfg.BER = 1e-5
-	cfg.CollectLatencies = true
-	cfg.Mode = traffic.RandomGaps
-	cfg.MeanSlack = DefaultMeanSlack
-	cfg.AlignPhases = false
-
-	// SimulateTwoSwitch ≡ SimulateNetwork on the two-switch network the
-	// wrapper documents itself as building.
-	viaWrapper, err := SimulateTwoSwitch(set, cfg, analysis.SplitByName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	twoswitch := &topology.Network{
-		Name:          "twoswitch",
-		Switches:      2,
-		Links:         [][2]int{{0, 1}},
-		StationSwitch: map[string]int{},
-	}
-	for _, st := range set.Stations() {
-		twoswitch.StationSwitch[st] = analysis.SplitByName(st)
-	}
-	direct, err := SimulateNetwork(set, cfg, twoswitch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w, d := goldenReport(set, viaWrapper), goldenReport(set, direct); w != d {
-		t.Errorf("SimulateTwoSwitch diverges from SimulateNetwork:\n%s", firstDiff(w, d))
-	}
-
-	// SimulateTree ≡ SimulateNetwork over topology.FromTree.
-	tree := topology.Chain(set.Stations(), 3).Tree()
-	viaTree, err := SimulateTree(set, cfg, tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	directTree, err := SimulateNetwork(set, cfg, topology.FromTree("tree", tree))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w, d := goldenReport(set, viaTree), goldenReport(set, directTree); w != d {
-		t.Errorf("SimulateTree diverges from SimulateNetwork:\n%s", firstDiff(w, d))
-	}
+// fuselageCascade is the two-switch cascade of the real-case stations,
+// split front/back by fuselage section.
+func fuselageCascade(set *traffic.Set) *topology.Network {
+	return topology.Cascade(set.Stations(), topology.FuselageSplit)
 }
 
 func TestTwoSwitchSimDelivers(t *testing.T) {
 	set := traffic.RealCase()
 	cfg := DefaultSimConfig(analysis.Priority)
 	cfg.Horizon = simtime.Second
-	res, err := SimulateTwoSwitch(set, cfg, analysis.SplitByName)
+	res, err := SimulateNetwork(set, cfg, fuselageCascade(set))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,12 +48,12 @@ func TestTwoSwitchSimDelivers(t *testing.T) {
 func TestTwoSwitchRespectsBounds(t *testing.T) {
 	set := traffic.RealCase()
 	for _, approach := range []analysis.Approach{analysis.FCFS, analysis.Priority} {
-		cfg := DefaultSimConfig(approach)
-		bounds, err := analysis.TwoSwitchEndToEnd(set, approach, cfg.AnalysisConfig(), analysis.SplitByName)
+		s := &Scenario{Set: set, Net: fuselageCascade(set), Sim: DefaultSimConfig(approach)}
+		bounds, err := s.Analyze(approach)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := SimulateTwoSwitch(set, cfg, analysis.SplitByName)
+		res, err := s.Simulate()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +70,8 @@ func TestTwoSwitchRespectsBounds(t *testing.T) {
 func TestTwoSwitchPriorityStillMeetsUrgent(t *testing.T) {
 	set := traffic.RealCase()
 	cfg := analysis.DefaultConfig()
-	res, err := analysis.TwoSwitchEndToEnd(set, analysis.Priority, cfg, analysis.SplitByName)
+	tree := fuselageCascade(set).Tree()
+	res, err := analysis.TreeEndToEnd(set, analysis.Priority, cfg, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +83,7 @@ func TestTwoSwitchPriorityStillMeetsUrgent(t *testing.T) {
 		}
 	}
 	// And FCFS remains broken.
-	fcfs, err := analysis.TwoSwitchEndToEnd(set, analysis.FCFS, cfg, analysis.SplitByName)
+	fcfs, err := analysis.TreeEndToEnd(set, analysis.FCFS, cfg, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,16 +95,16 @@ func TestTwoSwitchPriorityStillMeetsUrgent(t *testing.T) {
 func TestTwoSwitchCrossCostsMore(t *testing.T) {
 	set := traffic.RealCase()
 	cfg := analysis.DefaultConfig()
-	two, err := analysis.TwoSwitchEndToEnd(set, analysis.Priority, cfg, analysis.SplitByName)
+	two, err := analysis.TreeEndToEnd(set, analysis.Priority, cfg, fuselageCascade(set).Tree())
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := analysis.EndToEnd(set, analysis.Priority, cfg)
+	one, err := analysis.TreeEndToEnd(set, analysis.Priority, cfg, analysis.SingleSwitchTree(set.Stations()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, pb := range two.Flows {
-		crosses := analysis.SplitByName(pb.Spec.Msg.Source) != analysis.SplitByName(pb.Spec.Msg.Dest)
+		crosses := topology.FuselageSplit(pb.Spec.Msg.Source) != topology.FuselageSplit(pb.Spec.Msg.Dest)
 		if crosses && pb.EndToEnd <= one.Flows[i].EndToEnd {
 			t.Errorf("%s: cross-switch bound %v not above single-switch %v",
 				pb.Spec.Msg.Name, pb.EndToEnd, one.Flows[i].EndToEnd)
@@ -166,20 +118,14 @@ func TestTwoSwitchCrossCostsMore(t *testing.T) {
 func TestTwoSwitchErrors(t *testing.T) {
 	set := traffic.RealCase()
 	cfg := DefaultSimConfig(analysis.Priority)
-	if _, err := SimulateTwoSwitch(set, cfg, nil); err == nil {
-		t.Error("nil assignment accepted")
-	}
-	bad := func(string) int { return 2 }
-	if _, err := SimulateTwoSwitch(set, cfg, bad); err == nil {
+	bad := topology.Cascade(set.Stations(), func(string) int { return 2 })
+	if _, err := SimulateNetwork(set, cfg, bad); err == nil {
 		t.Error("out-of-range assignment accepted")
 	}
-	if _, err := analysis.TwoSwitchEndToEnd(set, analysis.Priority, cfg.AnalysisConfig(), bad); err == nil {
+	if _, err := analysis.TreeEndToEnd(set, analysis.Priority, cfg.AnalysisConfig(), bad.Tree()); err == nil {
 		t.Error("analysis accepted out-of-range assignment")
 	}
-	if _, err := analysis.TwoSwitchEndToEnd(set, analysis.Priority, cfg.AnalysisConfig(), nil); err == nil {
-		t.Error("analysis accepted nil assignment")
-	}
-	if _, err := SimulateTwoSwitch(set, SimConfig{}, analysis.SplitByName); err == nil {
+	if _, err := SimulateNetwork(set, SimConfig{}, fuselageCascade(set)); err == nil {
 		t.Error("invalid config accepted")
 	}
 }
@@ -188,11 +134,11 @@ func TestTwoSwitchDeterministic(t *testing.T) {
 	set := traffic.RealCase()
 	cfg := DefaultSimConfig(analysis.FCFS)
 	cfg.Horizon = 300 * simtime.Millisecond
-	a, err := SimulateTwoSwitch(set, cfg, analysis.SplitByName)
+	a, err := SimulateNetwork(set, cfg, fuselageCascade(set))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SimulateTwoSwitch(set, cfg, analysis.SplitByName)
+	b, err := SimulateNetwork(set, cfg, fuselageCascade(set))
 	if err != nil {
 		t.Fatal(err)
 	}

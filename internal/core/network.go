@@ -100,11 +100,12 @@ type NetworkSim struct {
 // SimulateNetwork is the one simulator behind every architecture: it builds
 // the network described by topo — switches, full-duplex trunks, stations,
 // optionally several independent redundant planes — wires the paper's
-// shaping and multiplexing stack over it, and runs the workload. Star,
-// cascade and tree are thin wrappers that construct a topology and
-// delegate, so every SimConfig field (BER, Recorder, QueueCapacity,
-// CollectLatencies, babbling sources, shaper accounting, PCAP) is honored
-// on every architecture by construction.
+// shaping and multiplexing stack over it, and runs the workload. Every
+// architecture — star (Simulate), cascade, tree, chain, redundant planes
+// — is a topology handed to this one function, so every SimConfig field
+// (BER, Recorder, QueueCapacity, CollectLatencies, babbling sources,
+// shaper accounting, PCAP) is honored on every architecture by
+// construction.
 //
 // On a redundant network (topo.PlaneCount() > 1) every shaped frame is
 // replicated onto each surviving plane, each plane honoring its own

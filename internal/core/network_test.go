@@ -11,11 +11,11 @@ import (
 	"repro/internal/traffic"
 )
 
-// TestSimConfigHonoredOnEveryTopology is the regression test for the bug
-// this refactor removes: the pre-unification SimulateTwoSwitch and
-// SimulateTree silently ignored cfg.BER, cfg.Recorder, and the
-// Shaped/Corrupted counters. Every SimConfig field must now observably
-// take effect on every architecture family.
+// TestSimConfigHonoredOnEveryTopology is the regression test for a bug
+// of the per-architecture simulators that preceded SimulateNetwork: the
+// two-switch and tree variants silently ignored cfg.BER, cfg.Recorder,
+// and the Shaped/Corrupted counters. Every SimConfig field must
+// observably take effect on every architecture family.
 func TestSimConfigHonoredOnEveryTopology(t *testing.T) {
 	set := traffic.RealCase()
 	stations := set.Stations()

@@ -17,17 +17,18 @@ import (
 func TestBufferSizingPreventsLoss(t *testing.T) {
 	set := traffic.RealCase()
 	cfg := DefaultSimConfig(analysis.FCFS)
-	backlogs, err := analysis.PortBacklogs(set, cfg.AnalysisConfig())
+	backlogs, err := analysis.EdgeBacklogs(set, cfg.AnalysisConfig(), analysis.SingleSwitchTree(set.Stations()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var worst simtime.Size
-	for _, b := range backlogs {
-		if b > worst {
-			worst = b
+	for _, e := range backlogs.Edges {
+		if e.Kind == analysis.EdgeDest && e.Bound > worst {
+			worst = e.Bound
 		}
 	}
-	// One uniform capacity: the worst port's bound (rounded up to bytes).
+	// One uniform capacity: the worst destination port's bound (rounded
+	// up to bytes).
 	cfg.QueueCapacity = simtime.Bytes(worst.ByteCount())
 	cfg.Horizon = simtime.Second
 	res, err := Simulate(set, cfg)

@@ -176,9 +176,9 @@ func (s *Scenario) Analysis() analysis.Config {
 }
 
 // Analyze computes the tree-composed end-to-end bounds of every connection
-// over the scenario's architecture, pricing each hop at its own link rate.
-// On the degenerate star this coincides exactly with the two-stage
-// compositional analysis (analysis.EndToEnd). On a redundant network with
+// over the scenario's architecture, pricing each hop at its own link rate;
+// the paper's star is the one-switch tree, so its bound composes the
+// source uplink and the destination port. On a redundant network with
 // per-plane specs the bound is the skew-aware first-copy composition:
 // minimum over surviving planes of the plane's own tree bound plus its
 // phase skew (identical zero-skew planes reduce to the single-plane

@@ -158,36 +158,6 @@ func TestScenarioValidateDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunValidationMatchesScenarioValidate pins the deprecated wrapper to
-// the Scenario path it delegates to.
-func TestRunValidationMatchesScenarioValidate(t *testing.T) {
-	set := traffic.RealCase()
-	cfg := DefaultSimConfig(analysis.Priority)
-	cfg.Horizon = 50 * simtime.Millisecond
-	opts := Serial(5)
-	old, err := RunValidation(set, cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	neo, err := StarScenario(set, cfg).Validate(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(old.Rows) != len(neo.Rows) {
-		t.Fatalf("row counts differ")
-	}
-	for i := range old.Rows {
-		if old.Rows[i] != neo.Rows[i] {
-			// ValidationRow contains a *Histogram; compare fields.
-			a, b := old.Rows[i], neo.Rows[i]
-			if a.Name != b.Name || a.Bound != b.Bound || a.PaperBound != b.PaperBound ||
-				a.Observed != b.Observed || a.Delivered != b.Delivered {
-				t.Errorf("row %d differs: %+v vs %+v", i, a, b)
-			}
-		}
-	}
-}
-
 // TestScenarioSweep checks the per-scenario rate sweep: higher default
 // rates keep soundness, and the per-link overrides keep their absolute
 // values (the cells stay heterogeneous).

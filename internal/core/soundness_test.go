@@ -48,7 +48,7 @@ func TestRandomizedSoundness(t *testing.T) {
 			cfg := DefaultSimConfig(approach)
 			cfg.Seed = seed
 			cfg.Horizon = simtime.Second
-			bounds, err := analysis.EndToEnd(set, approach, cfg.AnalysisConfig())
+			bounds, err := StarScenario(set, cfg).Analyze(approach)
 			if err != nil {
 				t.Fatalf("seed %d %v: analysis: %v", seed, approach, err)
 			}
@@ -90,14 +90,15 @@ func TestRandomizedSoundnessTwoSwitch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		cascade := topology.Cascade(set.Stations(), split)
 		cfg := DefaultSimConfig(analysis.Priority)
 		cfg.Seed = seed
 		cfg.Horizon = simtime.Second
-		bounds, err := analysis.TwoSwitchEndToEnd(set, analysis.Priority, cfg.AnalysisConfig(), split)
+		bounds, err := analysis.TreeEndToEnd(set, analysis.Priority, cfg.AnalysisConfig(), cascade.Tree())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		sim, err := SimulateTwoSwitch(set, cfg, split)
+		sim, err := SimulateNetwork(set, cfg, cascade)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -111,15 +112,7 @@ func TestRandomizedSoundnessTwoSwitch(t *testing.T) {
 			}
 		}
 		if violated {
-			// The split function's declarative form: a two-switch cascade
-			// placing each station on its split switch.
-			ss := map[string]int{}
-			for _, st := range set.Stations() {
-				ss[st] = split(st)
-			}
-			dumpScenario(t, "s3-twoswitch", set, cfg, &topology.Network{
-				Name: "cascade", Switches: 2, Links: [][2]int{{0, 1}}, StationSwitch: ss,
-			})
+			dumpScenario(t, "s3-twoswitch", set, cfg, cascade)
 		}
 	}
 }
@@ -181,7 +174,7 @@ func TestRandomizedSoundnessDual(t *testing.T) {
 		cfg := DefaultSimConfig(analysis.Priority)
 		cfg.Seed = seed
 		cfg.Horizon = simtime.Second
-		bounds, err := analysis.EndToEnd(set, analysis.Priority, cfg.AnalysisConfig())
+		bounds, err := StarScenario(set, cfg).Analyze(analysis.Priority)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -221,7 +214,7 @@ func TestRandomizedNoMissesUnderPriorityWhenBoundsSay(t *testing.T) {
 		cfg := DefaultSimConfig(analysis.Priority)
 		cfg.Seed = seed
 		cfg.Horizon = simtime.Second
-		bounds, err := analysis.EndToEnd(set, analysis.Priority, cfg.AnalysisConfig())
+		bounds, err := StarScenario(set, cfg).Analyze(analysis.Priority)
 		if err != nil || bounds.Violations > 0 {
 			continue // analysis does not promise anything for this seed
 		}

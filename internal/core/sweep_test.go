@@ -59,7 +59,7 @@ func TestRunValidationRepsDeterministicAcrossWorkers(t *testing.T) {
 	set := traffic.RealCase()
 
 	run := func(workers int) *Validation {
-		v, err := RunValidation(set, cfg, SweepOptions{Workers: workers, Reps: 4, Seed: 11})
+		v, err := StarScenario(set, cfg).Validate(SweepOptions{Workers: workers, Reps: 4, Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}

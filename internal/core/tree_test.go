@@ -1,20 +1,20 @@
 package core
 
 import (
-	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/simtime"
+	"repro/internal/topology"
 	"repro/internal/traffic"
 )
 
 // threeSwitchLine places the real-case stations on a line of three
 // switches: mission computer + displays front (0), sensors mid (1),
 // effectors/engine/generics aft (2).
-func threeSwitchLine() *analysis.Tree {
-	t := &analysis.Tree{
+func threeSwitchLine() *topology.Network {
+	n := &topology.Network{
+		Name:          "line3",
 		Switches:      3,
 		Links:         [][2]int{{0, 1}, {1, 2}},
 		StationSwitch: map[string]int{},
@@ -22,19 +22,19 @@ func threeSwitchLine() *analysis.Tree {
 	for _, st := range traffic.RealCase().Stations() {
 		switch st {
 		case traffic.StationMC, traffic.StationDisplay:
-			t.StationSwitch[st] = 0
+			n.StationSwitch[st] = 0
 		case traffic.StationNav, traffic.StationADC, traffic.StationRadar, traffic.StationEW:
-			t.StationSwitch[st] = 1
+			n.StationSwitch[st] = 1
 		default:
-			t.StationSwitch[st] = 2
+			n.StationSwitch[st] = 2
 		}
 	}
-	return t
+	return n
 }
 
 func TestTreeValidate(t *testing.T) {
 	stations := traffic.RealCase().Stations()
-	good := threeSwitchLine()
+	good := threeSwitchLine().Tree()
 	if err := good.Validate(stations); err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestTreeValidate(t *testing.T) {
 }
 
 func TestTreeSwitchPath(t *testing.T) {
-	tr := threeSwitchLine()
+	tr := threeSwitchLine().Tree()
 	path, err := tr.SwitchPath(traffic.StationEngine, traffic.StationMC) // 2 → 0
 	if err != nil {
 		t.Fatal(err)
@@ -74,76 +74,17 @@ func TestTreeSwitchPath(t *testing.T) {
 	}
 }
 
-// analysisVariants are the catalog workloads and analysis configurations
-// over which two analyses of the same path are compared result for
-// result: the paper's parameters, a faster and an untagged link, zero
-// relaying latency, and link rates low enough to over-subscribe a
-// multiplexer, so error paths are compared too.
-func analysisVariants() (sets []*traffic.Set, cfgs []analysis.Config) {
-	sets = []*traffic.Set{traffic.RealCase(), traffic.RealCaseWith(0), traffic.RealCaseWith(24)}
-	base := analysis.DefaultConfig()
-	cfgs = []analysis.Config{base}
-	for _, rate := range []simtime.Rate{100 * simtime.Mbps, 2 * simtime.Mbps, 500 * simtime.Kbps} {
-		c := base
-		c.LinkRate = rate
-		cfgs = append(cfgs, c)
-	}
-	untagged := base
-	untagged.Tagged = false
-	noRelay := base
-	noRelay.TTechno = 0
-	return sets, append(cfgs, untagged, noRelay)
-}
-
-// sameAnalysis reports where two analyses of one workload differ: in
-// error text, or anywhere in the Result (every PathBound field, the
-// class maxima and the violation count).
-func sameAnalysis(a *analysis.Result, errA error, b *analysis.Result, errB error) string {
-	if fmt.Sprint(errA) != fmt.Sprint(errB) {
-		return fmt.Sprintf("error %v vs %v", errA, errB)
-	}
-	if !reflect.DeepEqual(a, b) {
-		return "results differ"
-	}
-	return ""
-}
-
-func TestSingleSwitchTreeMatchesEndToEnd(t *testing.T) {
-	// On the degenerate one-switch tree, TreeEndToEnd must coincide with
-	// the dedicated EndToEnd analysis in every field and every error.
-	sets, cfgs := analysisVariants()
-	failed := 0
-	for _, set := range sets {
-		tree := analysis.SingleSwitchTree(set.Stations())
-		for _, cfg := range cfgs {
-			for _, approach := range []analysis.Approach{analysis.FCFS, analysis.Priority} {
-				a, errA := analysis.TreeEndToEnd(set, approach, cfg, tree)
-				b, errB := analysis.EndToEnd(set, approach, cfg)
-				if errA != nil {
-					failed++
-				}
-				if d := sameAnalysis(a, errA, b, errB); d != "" {
-					t.Errorf("%v, %d connections, %+v: tree vs end-to-end: %s", approach, len(set.Messages), cfg, d)
-				}
-			}
-		}
-	}
-	if failed == 0 {
-		t.Error("no variant exercised the error path")
-	}
-}
-
 func TestThreeSwitchSimRespectsBounds(t *testing.T) {
 	set := traffic.RealCase()
-	tree := threeSwitchLine()
+	line := threeSwitchLine()
 	for _, approach := range []analysis.Approach{analysis.FCFS, analysis.Priority} {
 		cfg := DefaultSimConfig(approach)
 		cfg.Horizon = simtime.Second
-		bounds, err := analysis.TreeEndToEnd(set, approach, cfg.AnalysisConfig(), tree)
+		bounds, err := analysis.TreeEndToEnd(set, approach, cfg.AnalysisConfig(), line.Tree())
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim, err := SimulateTree(set, cfg, tree)
+		sim, err := SimulateNetwork(set, cfg, line)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,14 +110,14 @@ func TestThreeSwitchTwoHopFloor(t *testing.T) {
 	// latency must include three serializations and three relays... at
 	// least the analytic floor.
 	set := traffic.RealCase()
-	tree := threeSwitchLine()
+	line := threeSwitchLine()
 	cfg := DefaultSimConfig(analysis.Priority)
 	cfg.Horizon = simtime.Second
-	bounds, err := analysis.TreeEndToEnd(set, analysis.Priority, cfg.AnalysisConfig(), tree)
+	bounds, err := analysis.TreeEndToEnd(set, analysis.Priority, cfg.AnalysisConfig(), line.Tree())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := SimulateTree(set, cfg, tree)
+	sim, err := SimulateNetwork(set, cfg, line)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,45 +134,17 @@ func TestThreeSwitchTwoHopFloor(t *testing.T) {
 	}
 }
 
-func TestTreeMatchesTwoSwitchAnalysis(t *testing.T) {
-	// The dedicated two-switch analysis and the general tree on the same
-	// partition must agree exactly, in every field and every error.
-	sets, cfgs := analysisVariants()
-	failed := 0
-	for _, set := range sets {
-		tree := &analysis.Tree{Switches: 2, Links: [][2]int{{0, 1}}, StationSwitch: map[string]int{}}
-		for _, st := range set.Stations() {
-			tree.StationSwitch[st] = analysis.SplitByName(st)
-		}
-		for _, cfg := range cfgs {
-			for _, approach := range []analysis.Approach{analysis.FCFS, analysis.Priority} {
-				a, errA := analysis.TreeEndToEnd(set, approach, cfg, tree)
-				b, errB := analysis.TwoSwitchEndToEnd(set, approach, cfg, analysis.SplitByName)
-				if errA != nil {
-					failed++
-				}
-				if d := sameAnalysis(a, errA, b, errB); d != "" {
-					t.Errorf("%v, %d connections, %+v: tree vs two-switch: %s", approach, len(set.Messages), cfg, d)
-				}
-			}
-		}
-	}
-	if failed == 0 {
-		t.Error("no variant exercised the error path")
-	}
-}
-
 func TestTreeErrors(t *testing.T) {
 	set := traffic.RealCase()
 	cfg := DefaultSimConfig(analysis.Priority)
-	if _, err := SimulateTree(set, cfg, nil); err == nil {
-		t.Error("nil tree accepted")
+	if _, err := SimulateNetwork(set, cfg, nil); err == nil {
+		t.Error("nil network accepted")
 	}
 	if _, err := analysis.TreeEndToEnd(set, analysis.Priority, cfg.AnalysisConfig(), nil); err == nil {
 		t.Error("analysis accepted nil tree")
 	}
-	broken := &analysis.Tree{Switches: 2, StationSwitch: map[string]int{}}
-	if _, err := SimulateTree(set, cfg, broken); err == nil {
+	broken := &topology.Network{Switches: 2, StationSwitch: map[string]int{}}
+	if _, err := SimulateNetwork(set, cfg, broken); err == nil {
 		t.Error("disconnected tree accepted")
 	}
 }
@@ -240,19 +153,20 @@ func TestTreeStarTopology(t *testing.T) {
 	// A 4-switch star (hub switch 0): every cross pair traverses ≤ 2
 	// trunks; priority keeps urgent under 3 ms even here.
 	set := traffic.RealCase()
-	tree := &analysis.Tree{
+	hub := &topology.Network{
+		Name:          "hub4",
 		Switches:      4,
 		Links:         [][2]int{{0, 1}, {0, 2}, {0, 3}},
 		StationSwitch: map[string]int{},
 	}
 	for i, st := range set.Stations() {
 		if st == traffic.StationMC {
-			tree.StationSwitch[st] = 0
+			hub.StationSwitch[st] = 0
 		} else {
-			tree.StationSwitch[st] = 1 + i%3
+			hub.StationSwitch[st] = 1 + i%3
 		}
 	}
-	res, err := analysis.TreeEndToEnd(set, analysis.Priority, analysis.DefaultConfig(), tree)
+	res, err := analysis.TreeEndToEnd(set, analysis.Priority, analysis.DefaultConfig(), hub.Tree())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +178,7 @@ func TestTreeStarTopology(t *testing.T) {
 	// Simulation stays under bounds on the star too.
 	cfg := DefaultSimConfig(analysis.Priority)
 	cfg.Horizon = 500 * simtime.Millisecond
-	sim, err := SimulateTree(set, cfg, tree)
+	sim, err := SimulateNetwork(set, cfg, hub)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/simtime"
+	"repro/internal/traffic"
 )
 
 // Network is the general architecture description driving the unified
@@ -446,13 +447,26 @@ func Star(stations []string) *Network {
 }
 
 // Cascade returns a two-switch trunk topology with stations assigned by
-// the given function (values 0 and 1) — the front/back fuselage split.
+// the given function (values 0 and 1) — e.g. FuselageSplit.
 func Cascade(stations []string, assign func(string) int) *Network {
 	n := &Network{Name: "cascade", Switches: 2, Links: [][2]int{{0, 1}}, StationSwitch: map[string]int{}}
 	for _, s := range stations {
 		n.StationSwitch[s] = assign(s)
 	}
 	return n
+}
+
+// FuselageSplit assigns the real-case stations to a cascade's two
+// switches by fuselage section: the mission computer, the displays and
+// their feeders (navigation, air data) front on switch 0, every other
+// station aft on switch 1.
+func FuselageSplit(station string) int {
+	switch station {
+	case traffic.StationMC, traffic.StationDisplay, traffic.StationNav, traffic.StationADC:
+		return 0
+	default:
+		return 1
+	}
 }
 
 // Chain returns a daisy-chain backbone of the given length — the line
@@ -474,16 +488,6 @@ func Chain(stations []string, switches int) *Network {
 		n.StationSwitch[s] = i * switches / len(sorted)
 	}
 	return n
-}
-
-// FromTree wraps an analysis tree as a single-plane network.
-func FromTree(name string, t *analysis.Tree) *Network {
-	return &Network{
-		Name:          name,
-		Switches:      t.Switches,
-		Links:         t.Links,
-		StationSwitch: t.StationSwitch,
-	}
 }
 
 // Clone returns a deep copy of the network: links, placements, plane

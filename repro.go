@@ -179,11 +179,6 @@ func SingleHop(set *Set, a Approach, cfg AnalysisConfig) (*Result, error) {
 	return analysis.SingleHop(set, a, cfg)
 }
 
-// EndToEnd runs the compositional two-stage analysis.
-func EndToEnd(set *Set, a Approach, cfg AnalysisConfig) (*Result, error) {
-	return analysis.EndToEnd(set, a, cfg)
-}
-
 // DefaultSimConfig returns paper-matched simulation parameters.
 func DefaultSimConfig(a Approach) SimConfig { return core.DefaultSimConfig(a) }
 
@@ -197,15 +192,6 @@ func RunFigure1(set *Set, cfg AnalysisConfig) (*Figure1, error) { return core.Ru
 // drivers: one worker, one replication, the given root seed.
 func Serial(seed uint64) SweepOptions { return core.Serial(seed) }
 
-// RunValidation checks simulated worst cases against analytic bounds,
-// optionally replicated and parallelized via opts.
-//
-// Deprecated: use StarScenario(set, cfg).Validate(opts), or LoadScenario
-// and Scenario.Validate for custom architectures.
-func RunValidation(set *Set, cfg SimConfig, opts SweepOptions) (*Validation, error) {
-	return core.RunValidation(set, cfg, opts)
-}
-
 // RunBaseline1553 runs the workload on the legacy MIL-STD-1553B bus,
 // optionally replicated and parallelized via opts.
 func RunBaseline1553(set *Set, bc string, horizon simtime.Duration, opts SweepOptions) (*Baseline1553, error) {
@@ -215,31 +201,12 @@ func RunBaseline1553(set *Set, bc string, horizon simtime.Duration, opts SweepOp
 // Grid builds the cross product of link rates × extra remote terminals.
 func Grid(rates []simtime.Rate, loads []int) []GridPoint { return core.Grid(rates, loads) }
 
-// RunGrid cross-validates analytic bounds against simulated delays on
-// every grid point using the parallel scenario-sweep engine.
-//
-// Deprecated: RunGrid is a fixed instance of the generic Experiment
-// runner over the built-in catalog; new studies should declare their own
-// Experiment (or use Scenario.Sweep for a rate sweep of one scenario).
-func RunGrid(points []GridPoint, base SimConfig, opts SweepOptions) ([]GridCell, error) {
-	return core.RunGrid(points, base, opts)
-}
-
 // Tree describes a multi-switch topology (see analysis.Tree).
 type Tree = analysis.Tree
 
 // TreeEndToEnd bounds every connection over an arbitrary switch tree.
 func TreeEndToEnd(set *Set, a Approach, cfg AnalysisConfig, tree *Tree) (*Result, error) {
 	return analysis.TreeEndToEnd(set, a, cfg, tree)
-}
-
-// SimulateTree simulates the workload over a switch tree.
-//
-// Deprecated: describe the tree in a scenario's network section (or build
-// a Network) and use Scenario.Simulate — the Scenario API also expresses
-// per-link rates, propagation delays and redundant planes.
-func SimulateTree(set *Set, cfg SimConfig, tree *Tree) (*SimResult, error) {
-	return core.SimulateTree(set, cfg, tree)
 }
 
 // Network is the general architecture description behind the unified
@@ -306,8 +273,9 @@ func DegradedEndToEnd(set *Set, a Approach, cfg AnalysisConfig, planes []Analysi
 }
 
 // SimulateNetwork runs the workload over an arbitrary network description
-// — the one engine behind Simulate, SimulateTree and the architecture
-// families, honoring every SimConfig field on every topology.
+// — the one engine behind Simulate, Scenario.Simulate and the
+// architecture families, honoring every SimConfig field on every
+// topology.
 func SimulateNetwork(set *Set, cfg SimConfig, topo *Network) (*SimResult, error) {
 	return core.SimulateNetwork(set, cfg, topo)
 }
@@ -315,14 +283,4 @@ func SimulateNetwork(set *Set, cfg SimConfig, topo *Network) (*SimResult, error)
 // TopoGrid builds the topology × rate × load cross product.
 func TopoGrid(fams []TopologyFamily, rates []simtime.Rate, loads []int) []TopoPoint {
 	return core.TopoGrid(fams, rates, loads)
-}
-
-// RunTopoGrid cross-validates tree-composed bounds against simulation on
-// every topology-grid point using the parallel scenario-sweep engine.
-//
-// Deprecated: RunTopoGrid is a fixed instance of the generic Experiment
-// runner over the built-in families; new studies should declare their own
-// Experiment binding each point to a Scenario.
-func RunTopoGrid(points []TopoPoint, base SimConfig, opts SweepOptions) ([]TopoCell, error) {
-	return core.RunTopoGrid(points, base, opts)
 }

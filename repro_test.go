@@ -31,7 +31,7 @@ func TestFacadeAnalysisRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prio, err := EndToEnd(set, PriorityHandling, cfg)
+	prio, err := TreeEndToEnd(set, PriorityHandling, cfg, StarNetwork(set.Stations()).Tree())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestFacadeExperiments(t *testing.T) {
 	}
 	cfg := DefaultSimConfig(FCFS)
 	cfg.Horizon = 200 * simtime.Millisecond
-	v, err := RunValidation(RealCase(), cfg, Serial(1))
+	v, err := StarScenario(RealCase(), cfg).Validate(Serial(1))
 	if err != nil {
 		t.Fatal(err)
 	}
